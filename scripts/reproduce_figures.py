@@ -20,16 +20,16 @@ CONFIGS = {
 
 def run(outdir: pathlib.Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
-    for scenario, config_text in CONFIGS.items():
-        with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
-            fh.write(config_text)
-            config_path = fh.name
-        output = outdir / f"{scenario}.csv"
-        code = main([scenario, "--config", config_path, "--output", str(output)])
-        if code != 0:
-            print(f"{scenario}: exit {code}", file=sys.stderr)
-            return code
-        print(f"{scenario}: wrote {output}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for scenario, config_text in CONFIGS.items():
+            config_path = pathlib.Path(tmp) / f"{scenario}.cfg"
+            config_path.write_text(config_text, encoding="utf-8")
+            output = outdir / f"{scenario}.csv"
+            code = main([scenario, "--config", str(config_path), "--output", str(output)])
+            if code != 0:
+                print(f"{scenario}: exit {code}", file=sys.stderr)
+                return code
+            print(f"{scenario}: wrote {output}")
     return 0
 
 

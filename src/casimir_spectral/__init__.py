@@ -14,13 +14,11 @@ from .errors import (
 )
 from .model import (
     Family,
-    GapGeometry,
     Medium,
     PlacedParticle,
     Spheroid,
     SystemConfig,
     contrast_fc,
-    gap_geometry,
     spectral_u,
 )
 from .spectral import (
@@ -61,13 +59,11 @@ __all__ = [
     "UndefinedExponentError",
     "UnphysicalModeError",
     "Family",
-    "GapGeometry",
     "Medium",
     "PlacedParticle",
     "Spheroid",
     "SystemConfig",
     "contrast_fc",
-    "gap_geometry",
     "spectral_u",
     "ModeSpectrum",
     "SpectralBlock",

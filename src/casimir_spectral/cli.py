@@ -15,35 +15,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .energy import (
-    DEFAULT_L_CAP,
-    EnergySample,
-    DEFAULT_TOLERANCE,
-    convergence_ladder,
-    energy_sweep,
-)
+from .energy import DEFAULT_L_CAP, DEFAULT_TOLERANCE, energy_sweep
 from .errors import ConfigParseError
 from .model import Family, Medium, PlacedParticle, Spheroid, SystemConfig
 from .pfa import PlatePair, pfa_energy_sphere_plane
 from .spectral import mode_spectrum
-
-SCENARIOS = (
-    "modes",
-    "energy_sweep",
-    "exponent",
-    "pfa_compare",
-    "convergence",
-    "verify",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-)
 
 _BASE_COLUMNS = ("z_over_rmin", "xi", "beta_local", "l_max_used", "converged")
 
@@ -168,13 +149,7 @@ def _validate(scenario: str, params: dict) -> None:
         raise ConfigParseError(
             "substrate.epsilon and substrate.perfect_conductor are exclusive"
         )
-    needs_system = scenario in (
-        "modes",
-        "energy_sweep",
-        "exponent",
-        "pfa_compare",
-        "convergence",
-    )
+    needs_system = scenario == "modes" or scenario in _SWEEP_EXTRAS
     if needs_system and not (has_eps or has_pc):
         raise ConfigParseError(
             f"scenario {scenario!r} requires substrate.epsilon or "
@@ -212,12 +187,12 @@ def _substrate_from(params: dict) -> Medium:
     return Medium.constant(params["substrate.epsilon"])
 
 
-def _system_config(params: dict, gap: float, l_max: int) -> SystemConfig:
+def _system_config(params: dict, gap: float) -> SystemConfig:
     return SystemConfig(
         particle=PlacedParticle(_spheroid_from(params), gap=gap),
         substrate_medium=_substrate_from(params),
         ambient_epsilon=params["ambient.epsilon"],
-        l_max=l_max,
+        l_max=params["truncation.l_max"],
     )
 
 
@@ -275,81 +250,65 @@ def _write_csv(path: str, preamble: list, columns: tuple, rows: list) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _sweep_rows(sweep_result, rows: list, extra: dict | None = None) -> list:
-    """Flatten one (SweepResult, per-point rows) pair to CSV row dicts."""
-    betas = {}
-    exponents = sweep_result.local_exponents()
-    for sample, beta in zip(sweep_result.samples, exponents):
-        betas[sample.z_over_rmin] = beta
-    out = []
-    for row in rows:
-        record = dict(extra or {})
-        if row.sample is None:
-            record.update(
-                z_over_rmin=None, xi=None, beta_local=None,
-                l_max_used=None, converged=False, error=row.error,
-            )
-        else:
-            s = row.sample
-            record.update(
-                z_over_rmin=s.z_over_rmin,
-                xi=s.xi,
-                beta_local=betas.get(s.z_over_rmin, math.nan),
-                l_max_used=s.l_max_used,
-                converged=s.converged,
-            )
-        out.append(record)
-    return out
+def _sweep_records(run: RunConfig, labels, make_config, grid, extra=None) -> list:
+    """Run energy_sweep over labels x grid; one CSV record per (label, z).
 
-
-def _fill_beta(records: list) -> None:
-    """Fill beta_local on converged z-sweep rows by centered differences."""
-    from .energy import SweepResult
-
-    good = [r for r in records if r.get("converged")]
-    samples = tuple(
-        EnergySample(
-            z=r["z_over_rmin"],
-            z_over_rmin=r["z_over_rmin"],
-            xi=r["xi"],
-            l_max_used=r["l_max_used"],
-            converged=True,
-            rel_change_last_step=math.nan,
-        )
-        for r in good
-    )
-    betas = SweepResult(samples=samples, fingerprint="", label={}).local_exponents()
-    for record, beta in zip(good, betas):
-        record["beta_local"] = float(beta)
-
-
-def _has_failures(records: list) -> bool:
-    return any(not record.get("converged", False) for record in records)
-
-
-def _run_sweep_like(run: RunConfig) -> tuple:
+    Each record holds the label's keys, the base columns and, on converged
+    rows, one column per ``extra`` entry, computed as fn(config, sample).
+    ``beta_local`` comes from the converged samples of the same label.  A
+    failed row keeps ``z_over_rmin`` and leaves the other values empty.
+    """
     params = run.parameters
-    grid = _grid(params)
-    r_minor = params["geometry.r_minor"]
-
-    def make_config(label, z_rel):
-        return _system_config(params, z_rel * r_minor, params["truncation.l_max"])
-
-    ((sweep, rows),) = energy_sweep(
+    extra = extra or {}
+    results = energy_sweep(
         make_config,
         grid,
+        labels=labels,
         tolerance=params["truncation.tolerance"],
         l_cap=params["truncation.l_max"],
     )
-    records = _sweep_rows(sweep, rows)
-    f_c = make_config((), grid[0]).f_c
-    return records, {"f_c": f_c}
+    records = []
+    for label, (sweep, rows) in zip(labels, results):
+        betas = iter(sweep.local_exponents())
+        for z_rel, row in zip(sorted(grid), rows):
+            config = make_config(label, z_rel)
+            record = dict(
+                label,
+                z_over_rmin=config.particle.gap / config.particle.spheroid.r_minor,
+                converged=False,
+            )
+            sample = row.sample
+            if sample is not None:
+                record.update(
+                    xi=sample.xi,
+                    beta_local=next(betas),
+                    l_max_used=sample.l_max_used,
+                    converged=sample.converged,
+                )
+                record.update({name: fn(config, sample) for name, fn in extra.items()})
+            records.append(record)
+    return records
+
+
+def _exit_code(run: RunConfig, records: list) -> int:
+    return 2 if run.strict and not all(r["converged"] for r in records) else 0
+
+
+def _pfa_ratio(config: SystemConfig, sample) -> float:
+    """Xi over the PFA energy of the particle's apex curvature above the plate."""
+    gap = config.particle.gap
+    pair = PlatePair(
+        config.particle_medium, config.substrate_medium, config.ambient_epsilon, gap
+    )
+    r_apex = config.particle.spheroid.apex_curvature_radius
+    xi_pfa = pfa_energy_sphere_plane(r_apex, gap, pair)
+    return sample.xi / xi_pfa if xi_pfa != 0.0 else math.nan
 
 
 def _scenario_modes(run: RunConfig) -> int:
     params = run.parameters
     z = _grid(params)[0] * params["geometry.r_minor"]
-    cfg = _system_config(params, z, params["truncation.l_max"])
+    cfg = _system_config(params, z)
     spectrum = mode_spectrum(cfg)
     records = []
     for block in spectrum.blocks:
@@ -373,94 +332,44 @@ def _scenario_modes(run: RunConfig) -> int:
     return 0
 
 
-def _scenario_energy(run: RunConfig) -> int:
-    records, extra = _run_sweep_like(run)
-    _write_csv(run.output_path, _preamble(run, extra), _BASE_COLUMNS, records)
-    return 2 if run.strict and _has_failures(records) else 0
+# extra columns of the single-geometry sweep scenarios
+_SWEEP_EXTRAS = {
+    "energy_sweep": {},
+    "exponent": {},
+    "convergence": {"rel_change": lambda config, sample: sample.rel_change_last_step},
+    "pfa_compare": {"pfa_ratio": _pfa_ratio},
+}
 
 
-def _scenario_convergence(run: RunConfig) -> int:
+def _scenario_sweep(run: RunConfig) -> int:
+    """The configured geometry and substrate over the z/r_min grid."""
     params = run.parameters
     r_minor = params["geometry.r_minor"]
-    records = []
-    for z_rel in _grid(params):
-        cfg = _system_config(params, z_rel * r_minor, params["truncation.l_max"])
-        record = {"z_over_rmin": z_rel, "beta_local": math.nan}
-        try:
-            sample = convergence_ladder(
-                cfg,
-                tolerance=params["truncation.tolerance"],
-                l_cap=params["truncation.l_max"],
-            )
-            record.update(
-                xi=sample.xi,
-                l_max_used=sample.l_max_used,
-                converged=True,
-                rel_change=sample.rel_change_last_step,
-            )
-        except Exception as exc:
-            record.update(
-                xi=None, l_max_used=None, converged=False,
-                rel_change=None, error=str(exc),
-            )
-        records.append(record)
-    _fill_beta(records)
-    columns = _BASE_COLUMNS + ("rel_change",)
-    f_c = _system_config(params, r_minor, 1).f_c
-    _write_csv(run.output_path, _preamble(run, {"f_c": f_c}), columns, records)
-    return 2 if run.strict and _has_failures(records) else 0
+    grid = _grid(params)
+
+    def make_config(label, z_rel):
+        return _system_config(params, z_rel * r_minor)
+
+    extra = _SWEEP_EXTRAS[run.scenario]
+    records = _sweep_records(run, ({},), make_config, grid, extra)
+    _write_csv(
+        run.output_path,
+        _preamble(run, {"f_c": make_config({}, grid[0]).f_c}),
+        _BASE_COLUMNS + tuple(extra),
+        records,
+    )
+    return _exit_code(run, records)
 
 
-def _scenario_pfa_compare(run: RunConfig) -> int:
-    params = run.parameters
-    spheroid = _spheroid_from(params)
-    substrate = _substrate_from(params)
-    r_minor = params["geometry.r_minor"]
-    r_apex = spheroid.apex_curvature_radius
-    records = []
-    for z_rel in _grid(params):
-        z = z_rel * r_minor
-        cfg = _system_config(params, z, params["truncation.l_max"])
-        pair = PlatePair(
-            metal=cfg.particle_medium,
-            substrate=substrate,
-            ambient_epsilon=params["ambient.epsilon"],
-            gap=z,
-        )
-        xi_pfa = pfa_energy_sphere_plane(r_apex, z, pair)
-        record = {"z_over_rmin": z_rel, "beta_local": math.nan}
-        try:
-            sample = convergence_ladder(
-                cfg,
-                tolerance=params["truncation.tolerance"],
-                l_cap=params["truncation.l_max"],
-            )
-            ratio = sample.xi / xi_pfa if xi_pfa != 0.0 else math.nan
-            record.update(
-                xi=sample.xi,
-                l_max_used=sample.l_max_used,
-                converged=True,
-                pfa_ratio=ratio,
-            )
-        except Exception as exc:
-            record.update(
-                xi=None, l_max_used=None, converged=False,
-                pfa_ratio=None, error=str(exc),
-            )
-        records.append(record)
-    _fill_beta(records)
-    columns = _BASE_COLUMNS + ("pfa_ratio",)
-    f_c = _system_config(params, r_minor, 1).f_c
-    _write_csv(run.output_path, _preamble(run, {"f_c": f_c}), columns, records)
-    return 2 if run.strict and _has_failures(records) else 0
+def _figure_config(params: dict, spheroid, substrate, gap) -> SystemConfig:
+    return SystemConfig(
+        particle=PlacedParticle(spheroid, gap=gap),
+        substrate_medium=substrate,
+        l_max=params["truncation.l_max"],
+    )
 
 
-FIG1_SUBSTRATES = (
-    ("inf", None),
-    ("7p8", 7.8),
-    ("3p12", 3.12),
-    ("1p6", 1.6),
-)
+FIG1_SUBSTRATES = (("inf", math.inf), ("7p8", 7.8), ("3p12", 3.12), ("1p6", 1.6))
 
 
 def _tagged_path(path: str, tag: str) -> str:
@@ -472,37 +381,27 @@ def _tagged_path(path: str, tag: str) -> str:
 def _scenario_fig1(run: RunConfig) -> int:
     """Oblate aspect 1.4 over the four substrates of increasing contrast."""
     params = run.parameters
-    grid = _grid(params)
     spheroid = Spheroid.oblate(1.4, 1.0)
-    failures = False
-    for tag, epsilon in FIG1_SUBSTRATES:
+
+    def make_config(label, z_rel):
+        eps = label["epsilon_sub"]
         substrate = (
-            Medium.perfect_conductor() if epsilon is None else Medium.constant(epsilon)
+            Medium.perfect_conductor() if math.isinf(eps) else Medium.constant(eps)
         )
+        return _figure_config(params, spheroid, substrate, z_rel)
 
-        def make_config(label, z_rel):
-            return SystemConfig(
-                particle=PlacedParticle(spheroid, gap=z_rel),
-                substrate_medium=substrate,
-                l_max=params["truncation.l_max"],
-            )
-
-        ((sweep, rows),) = energy_sweep(
-            make_config,
-            grid,
-            tolerance=params["truncation.tolerance"],
-            l_cap=params["truncation.l_max"],
-        )
-        eps_label = math.inf if epsilon is None else epsilon
-        records = _sweep_rows(sweep, rows, {"epsilon_sub": eps_label})
-        failures = failures or _has_failures(records)
+    labels = [{"epsilon_sub": eps} for _, eps in FIG1_SUBSTRATES]
+    # .tolist(): the gaps of fig1 and fig2 are Python floats and those of
+    # fig4 numpy scalars, which keeps each point's config repr stable
+    records = _sweep_records(run, labels, make_config, _grid(params).tolist())
+    for tag, eps in FIG1_SUBSTRATES:
         _write_csv(
             _tagged_path(run.output_path, f"eps_{tag}"),
-            _preamble(run, {"epsilon_sub": eps_label, "aspect_ratio": 1.4}),
+            _preamble(run, {"epsilon_sub": eps, "aspect_ratio": 1.4}),
             _BASE_COLUMNS + ("epsilon_sub",),
-            records,
+            [r for r in records if r["epsilon_sub"] == eps],
         )
-    return 2 if run.strict and failures else 0
+    return _exit_code(run, records)
 
 
 FIG2_ASPECTS = (1.2, 1.6, 2.0)
@@ -512,36 +411,21 @@ FIG2_EPSILON = 3.12
 def _scenario_fig2(run: RunConfig) -> int:
     """Prolate aspect families over sapphire; energy vs z/r_<."""
     params = run.parameters
-    grid = _grid(params)
     substrate = Medium.constant(FIG2_EPSILON)
-    failures = False
-    all_records = []
-    for aspect in FIG2_ASPECTS:
-        spheroid = Spheroid.prolate(aspect, 1.0)
 
-        def make_config(label, z_rel):
-            return SystemConfig(
-                particle=PlacedParticle(spheroid, gap=z_rel),
-                substrate_medium=substrate,
-                l_max=params["truncation.l_max"],
-            )
+    def make_config(label, z_rel):
+        spheroid = Spheroid.prolate(label["aspect_ratio"], 1.0)
+        return _figure_config(params, spheroid, substrate, z_rel)
 
-        ((sweep, rows),) = energy_sweep(
-            make_config,
-            grid,
-            tolerance=params["truncation.tolerance"],
-            l_cap=params["truncation.l_max"],
-        )
-        records = _sweep_rows(sweep, rows, {"aspect_ratio": aspect})
-        failures = failures or _has_failures(records)
-        all_records.extend(records)
+    labels = [{"aspect_ratio": aspect} for aspect in FIG2_ASPECTS]
+    records = _sweep_records(run, labels, make_config, _grid(params).tolist())
     _write_csv(
         run.output_path,
         _preamble(run, {"epsilon_sub": FIG2_EPSILON}),
         _BASE_COLUMNS + ("aspect_ratio",),
-        all_records,
+        records,
     )
-    return 2 if run.strict and failures else 0
+    return _exit_code(run, records)
 
 
 FIG3_Z_OVER_RPERP = 0.25
@@ -549,132 +433,65 @@ FIG3_EPSILON = 3.12
 FIG3_DEFAULT_GRID = (0.4, 2.5, 11)
 
 
+def _fig3_spheroid(r) -> Spheroid:
+    """r_perp = 1 and r_par = r: oblate (flat) for r > 1, prolate (tall)
+    for r < 1, a sphere for r = 1."""
+    if abs(r - 1.0) < 1e-9:
+        return Spheroid.sphere(1.0)
+    if r > 1.0:
+        return Spheroid.oblate(r, 1.0)
+    return Spheroid.prolate(1.0, r)
+
+
 def _scenario_fig3(run: RunConfig) -> int:
     """Sweep aspect ratio r = r_par / r_perp at fixed z / r_perp = 0.25;
-    r > 1 is oblate (flat), r < 1 prolate (tall), r = 1 a sphere."""
-    params = run.parameters
-    aspect_grid = (
-        _grid(params, "sweep.aspect_ratio")
-        if "sweep.aspect_ratio" in params
-        else np.geomspace(*FIG3_DEFAULT_GRID[:2], FIG3_DEFAULT_GRID[2])
-    )
+    each aspect ratio is a label over the one-point grid, so beta is empty."""
+    params = {"sweep.aspect_ratio": FIG3_DEFAULT_GRID, **run.parameters}
     substrate = Medium.constant(FIG3_EPSILON)
-    records = []
-    failures = False
-    for r in aspect_grid:
-        if abs(r - 1.0) < 1e-9:
-            spheroid = Spheroid.sphere(1.0)
-        elif r > 1.0:
-            spheroid = Spheroid.oblate(r, 1.0)  # r_perp = 1, r_par = r
-        else:
-            spheroid = Spheroid.prolate(1.0, r)  # r_perp = 1, r_par = r
-        gap = FIG3_Z_OVER_RPERP * spheroid.r_perp
 
-        cfg = SystemConfig(
-            particle=PlacedParticle(spheroid, gap=gap),
-            substrate_medium=substrate,
-            l_max=params["truncation.l_max"],
-        )
-        record = {"aspect_ratio": float(r), "beta_local": math.nan}
-        try:
-            sample = convergence_ladder(
-                cfg,
-                tolerance=params["truncation.tolerance"],
-                l_cap=params["truncation.l_max"],
-            )
-            record.update(
-                z_over_rmin=sample.z_over_rmin,
-                xi=sample.xi,
-                l_max_used=sample.l_max_used,
-                converged=True,
-            )
-        except Exception as exc:
-            record.update(
-                z_over_rmin=None, xi=None, l_max_used=None,
-                converged=False, error=str(exc),
-            )
-            failures = True
-        records.append(record)
+    def make_config(label, z_over_rperp):
+        spheroid = _fig3_spheroid(label["aspect_ratio"])
+        gap = z_over_rperp * spheroid.r_perp
+        return _figure_config(params, spheroid, substrate, gap)
+
+    labels = [{"aspect_ratio": r} for r in _grid(params, "sweep.aspect_ratio")]
+    records = _sweep_records(run, labels, make_config, (FIG3_Z_OVER_RPERP,))
+    extras = {"epsilon_sub": FIG3_EPSILON, "z_over_rperp": FIG3_Z_OVER_RPERP}
     _write_csv(
         run.output_path,
-        _preamble(
-            run,
-            {"epsilon_sub": FIG3_EPSILON, "z_over_rperp": FIG3_Z_OVER_RPERP},
-        ),
+        _preamble(run, extras),
         _BASE_COLUMNS + ("aspect_ratio",),
         records,
     )
-    return 2 if run.strict and failures else 0
+    return _exit_code(run, records)
 
 
-# two prolate families with the same apex curvature radius r_minor^2 / r_major
-FIG4_FAMILIES = (
-    {"r_major": 2.0, "r_minor": 1.0},  # apex radius 0.5
-    {"r_major": 3.125, "r_minor": 1.25},  # apex radius 0.5
-)
+# two prolate families with the same apex curvature radius r_minor^2 / r_major = 0.5
+FIG4_FAMILIES = (Spheroid.prolate(2.0, 1.0), Spheroid.prolate(3.125, 1.25))
 FIG4_EPSILON = 3.12
 
 
 def _scenario_fig4(run: RunConfig) -> int:
     """Fixed-curvature prolate families: same PFA prediction, different Xi."""
     params = run.parameters
-    grid = _grid(params)
     substrate = Medium.constant(FIG4_EPSILON)
-    all_records = []
-    failures = False
-    for geom in FIG4_FAMILIES:
-        spheroid = Spheroid.prolate(geom["r_major"], geom["r_minor"])
-        aspect = spheroid.aspect_ratio
-        r_apex = spheroid.apex_curvature_radius
-        family_records = []
-        for z_rel in grid:
-            z = z_rel * spheroid.r_minor
-            cfg = SystemConfig(
-                particle=PlacedParticle(spheroid, gap=z),
-                substrate_medium=substrate,
-                l_max=params["truncation.l_max"],
-            )
-            pair = PlatePair(
-                metal=cfg.particle_medium,
-                substrate=substrate,
-                ambient_epsilon=1.0,
-                gap=z,
-            )
-            xi_pfa = pfa_energy_sphere_plane(r_apex, z, pair)
-            record = {
-                "aspect_ratio": aspect,
-                "beta_local": math.nan,
-                "z_over_rmin": z_rel,
-            }
-            try:
-                sample = convergence_ladder(
-                    cfg,
-                    tolerance=params["truncation.tolerance"],
-                    l_cap=params["truncation.l_max"],
-                )
-                ratio = sample.xi / xi_pfa if xi_pfa != 0.0 else math.nan
-                record.update(
-                    xi=sample.xi,
-                    l_max_used=sample.l_max_used,
-                    converged=True,
-                    pfa_ratio=ratio,
-                )
-            except Exception as exc:
-                record.update(
-                    xi=None, l_max_used=None, converged=False,
-                    pfa_ratio=None, error=str(exc),
-                )
-                failures = True
-            family_records.append(record)
-        _fill_beta(family_records)
-        all_records.extend(family_records)
+    by_aspect = {spheroid.aspect_ratio: spheroid for spheroid in FIG4_FAMILIES}
+
+    def make_config(label, z_rel):
+        spheroid = by_aspect[label["aspect_ratio"]]
+        return _figure_config(params, spheroid, substrate, z_rel * spheroid.r_minor)
+
+    labels = [{"aspect_ratio": aspect} for aspect in by_aspect]
+    records = _sweep_records(
+        run, labels, make_config, _grid(params), {"pfa_ratio": _pfa_ratio}
+    )
     _write_csv(
         run.output_path,
         _preamble(run, {"epsilon_sub": FIG4_EPSILON, "apex_radius": 0.5}),
         _BASE_COLUMNS + ("aspect_ratio", "pfa_ratio"),
-        all_records,
+        records,
     )
-    return 2 if run.strict and failures else 0
+    return _exit_code(run, records)
 
 
 def _scenario_verify(run: RunConfig) -> int:
@@ -711,7 +528,7 @@ def _scenario_verify(run: RunConfig) -> int:
     )
     for m, key in ((0, "n_perp"), (1, "n_par")):
         block = spectral_block(cfg, m)
-        n1 = float(np.sort(block.eigenvalues)[0 if m == 0 else 0])
+        n1 = float(np.sort(block.eigenvalues)[0])
         shift_ref = modes[key] - 1.0 / 3.0
         shift = n1 - 1.0 / 3.0
         check(f"image_dipole_m{m}", abs(shift - shift_ref) / abs(shift_ref), 0.02)
@@ -736,7 +553,7 @@ def _scenario_verify(run: RunConfig) -> int:
         lines.append(f"{status}  {name}: deviation {deviation:.3e} (tol {tolerance:g})")
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
-    if run.output_path != "output.csv" or "output" in run.parameters:
+    if run.output_path != "output.csv":
         with open(run.output_path, "w", encoding="utf-8") as fh:
             fh.write(report)
     return 0 if ok else 2
@@ -744,16 +561,17 @@ def _scenario_verify(run: RunConfig) -> int:
 
 _SCENARIO_RUNNERS = {
     "modes": _scenario_modes,
-    "energy_sweep": _scenario_energy,
-    "exponent": _scenario_energy,
-    "pfa_compare": _scenario_pfa_compare,
-    "convergence": _scenario_convergence,
+    "energy_sweep": _scenario_sweep,
+    "exponent": _scenario_sweep,
+    "pfa_compare": _scenario_sweep,
+    "convergence": _scenario_sweep,
     "verify": _scenario_verify,
     "fig1": _scenario_fig1,
     "fig2": _scenario_fig2,
     "fig3": _scenario_fig3,
     "fig4": _scenario_fig4,
 }
+SCENARIOS = tuple(_SCENARIO_RUNNERS)
 
 
 def run(config: RunConfig) -> int:
@@ -791,21 +609,8 @@ def main(argv=None) -> int:
     except ConfigParseError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1
-    if args.output is not None:
-        config = RunConfig(
-            scenario=config.scenario,
-            parameters=config.parameters,
-            output_path=args.output,
-            strict=args.strict,
-        )
-    elif args.strict:
-        config = RunConfig(
-            scenario=config.scenario,
-            parameters=config.parameters,
-            output_path=config.output_path,
-            strict=True,
-        )
-    return run(config)
+    output_path = config.output_path if args.output is None else args.output
+    return run(replace(config, output_path=output_path, strict=args.strict))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, UndefinedExponentError
+from .errors import CasimirSpectralError, ConvergenceError, UndefinedExponentError
 from .model import SystemConfig
 from .spectral import mode_spectrum
 
@@ -172,14 +172,15 @@ def energy_sweep(
     l_cap: int = DEFAULT_L_CAP,
 ) -> list:
     """Evaluate the Cartesian product labels x z-grid with the convergence
-    ladder; per-point errors are recorded in-row and never abort the sweep.
+    ladder.  A CasimirSpectralError at a point is recorded in its row and
+    does not abort the sweep; any other exception propagates.
 
-    ``make_config(label, z_over_rmin)`` must return a SystemConfig.
-    Output ordering is deterministic: labels in given order, then z
-    ascending.
+    ``make_config(label, z_over_rmin)`` must return a SystemConfig; it
+    receives the grid values as given (no conversion to float).  Output
+    ordering is deterministic: labels in given order, then z ascending.
     """
     results = []
-    z_grid = sorted(float(z) for z in z_over_rmin_grid)
+    z_grid = sorted(z_over_rmin_grid)
     for label in labels:
         rows = []
         for z_rel in z_grid:
@@ -189,7 +190,7 @@ def energy_sweep(
                     cfg, tolerance=tolerance, l_step=l_step, l_cap=l_cap
                 )
                 rows.append(SweepRow(label=dict(label), sample=sample))
-            except Exception as exc:  # recorded, not raised
+            except CasimirSpectralError as exc:  # recorded, not raised
                 rows.append(
                     SweepRow(label=dict(label), sample=None, error=str(exc))
                 )

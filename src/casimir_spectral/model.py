@@ -26,9 +26,6 @@ from .errors import (
     InvalidMediumError,
 )
 
-_ASPECT_EQ_TOL = 0.0  # family 'sphere' requires exact equality of semi-axes
-
-
 class Family(str, Enum):
     PROLATE = "prolate"
     OBLATE = "oblate"
@@ -145,25 +142,6 @@ class PlacedParticle:
 
     def scaled(self, factor: float) -> "PlacedParticle":
         return PlacedParticle(self.spheroid.scaled(factor), self.gap * factor)
-
-
-@dataclass(frozen=True)
-class GapGeometry:
-    d: float
-    z: float
-    r_perp: float
-    r_par: float
-
-
-def gap_geometry(particle: PlacedParticle) -> GapGeometry:
-    """Center height, gap, and the axis assignment for a placed particle."""
-    sph = particle.spheroid
-    return GapGeometry(
-        d=particle.center_height,
-        z=particle.gap,
-        r_perp=sph.r_perp,
-        r_par=sph.r_par,
-    )
 
 
 class MediumKind(str, Enum):

@@ -297,19 +297,18 @@ class ModeSpectrum:
         return total
 
 
-def mode_spectrum(config: SystemConfig, check_physical: bool = True) -> ModeSpectrum:
+def mode_spectrum(config: SystemConfig) -> ModeSpectrum:
     blocks = []
     isolated = []
     for m in range(0, config.m_max + 1):
         block = spectral_block(config, m)
-        if check_physical:
-            lo = float(block.eigenvalues[0])
-            hi = float(block.eigenvalues[-1])
-            if lo <= 0.0 or hi >= 1.0:
-                raise UnphysicalModeError(
-                    f"eigenvalue outside (0,1) in sector m={m}: "
-                    f"min={lo:.6g}, max={hi:.6g}; increase l_max or the gap"
-                )
+        lo = float(block.eigenvalues[0])
+        hi = float(block.eigenvalues[-1])
+        if lo <= 0.0 or hi >= 1.0:
+            raise UnphysicalModeError(
+                f"eigenvalue outside (0,1) in sector m={m}: "
+                f"min={lo:.6g}, max={hi:.6g}; increase l_max or the gap"
+            )
         n_iso = isolated_depolarization_table(
             config.particle.spheroid, m, config.l_max
         )[max(1, m):]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -13,6 +14,27 @@ substrate.perfect_conductor = true
 sweep.z_over_rmin = 1.0:4.0:4
 truncation.l_max = 40
 """
+
+# Every point of every scenario converges on this grid.  SCENARIO_DIGESTS
+# pins each CSV byte for byte; the digests were recorded before the
+# scenarios moved onto the shared energy_sweep path.
+DIGEST_CFG = """
+geometry.r_major = 1.4
+geometry.r_minor = 1.0
+geometry.family = oblate
+substrate.epsilon = 3.12
+sweep.z_over_rmin = 0.5:2:3
+sweep.aspect_ratio = 0.5:2:3
+truncation.l_max = 40
+"""
+SCENARIO_DIGESTS = {
+    "exponent": "09c592fc98ee46bd4fdfd1ca7869da1593e5902e91db7c624a70cb417b885ed7",
+    "convergence": "f31c484f28b0591f9c7cab5d9453d6566bb1fad33d8311c5cb448cca99885172",
+    "pfa_compare": "75b90455dd03546900d4156ddd05b9a70b8fff387b59db185c593a541f9ff2ec",
+    "fig2": "ec6033509f6b4e38fa8b2e4de4b2620766c2b24fabb1d38434c6044a7c3292b9",
+    "fig3": "406cff5c4557b0585a25cb56677855c18766da1a9d42612b878c29b75257fdac",
+    "fig4": "57d2f6e76bb0237664e1d1bf9e398c668a9f0826ab6069c34b9cea726c0fdd60",
+}
 
 
 def _read_rows(path):
@@ -140,6 +162,10 @@ class TestScenarios:
         )
         args = ["energy_sweep", "--config", str(cfg_path), "--output", str(out_path)]
         assert main(args) == 0  # non-strict records the failure row
+        _, _, (row,) = _read_rows(out_path)
+        assert float(row["z_over_rmin"]) == 0.01
+        assert row["converged"] == "false"
+        assert row["xi"] == row["beta_local"] == row["l_max_used"] == ""
         assert main(args + ["--strict"]) == 2
 
     def test_parse_error_exit(self, tmp_path):
@@ -166,6 +192,16 @@ class TestScenarios:
             xi_by_eps[tag] = [abs(float(r["xi"])) for r in rows]
         for a, b in zip(("inf", "7p8", "3p12"), ("7p8", "3p12", "1p6")):
             assert all(x > y for x, y in zip(xi_by_eps[a], xi_by_eps[b]))
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_DIGESTS))
+    def test_scenario_csv_digest(self, tmp_path, scenario):
+        cfg_path = tmp_path / "run.cfg"
+        out_path = tmp_path / f"{scenario}.csv"
+        cfg_path.write_text(DIGEST_CFG)
+        args = [scenario, "--config", str(cfg_path), "--output", str(out_path)]
+        assert main(args + ["--strict"]) == 0
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == SCENARIO_DIGESTS[scenario]
 
     def test_verify_scenario(self, capsys):
         cfg = RunConfig(scenario="verify", parameters={}, output_path="output.csv")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from casimir_spectral import energy
 from casimir_spectral.energy import (
     SweepResult,
     convergence_ladder,
@@ -134,3 +135,11 @@ class TestSweep:
         assert rows[0].sample is None and rows[0].error
         assert rows[1].sample is not None
         assert len(sweep.samples) == 1
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken_ladder(config, **kwargs):
+            raise TypeError("not a package error")
+
+        monkeypatch.setattr(energy, "convergence_ladder", broken_ladder)
+        with pytest.raises(TypeError):
+            energy_sweep(lambda label, z: _sphere_config(z), [1.0, 2.0])

@@ -11,7 +11,6 @@ from casimir_spectral.model import (
     Spheroid,
     SystemConfig,
     contrast_fc,
-    gap_geometry,
     spectral_u,
     spheroid_xi0,
 )
@@ -75,10 +74,6 @@ class TestPlacedParticle:
     def test_center_height(self):
         p = PlacedParticle(Spheroid.oblate(2.0, 1.0), gap=0.5)
         assert p.center_height == pytest.approx(1.5)
-        g = gap_geometry(p)
-        assert g.d == pytest.approx(1.5)
-        assert g.z == 0.5
-        assert g.r_perp == 1.0
 
     def test_contact_rejected(self):
         with pytest.raises(ContactError):
