@@ -24,7 +24,6 @@ from .model import (
 from .spectral import (
     ModeSpectrum,
     SpectralBlock,
-    build_H,
     coupling_matrix_D,
     effective_polarizability,
     isolated_depolarization,
@@ -67,7 +66,6 @@ __all__ = [
     "spectral_u",
     "ModeSpectrum",
     "SpectralBlock",
-    "build_H",
     "coupling_matrix_D",
     "effective_polarizability",
     "isolated_depolarization",

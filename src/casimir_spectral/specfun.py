@@ -1,29 +1,31 @@
-"""Associated Legendre functions on the real axis beyond x = 1, oblate
-radial analogues, and log-factorials.
+"""Prolate and oblate spheroidal radial functions, Ferrers functions on
+[-1, 1], and log-factorials.
 
-Internally everything is computed with "ratio-normalized" functions
+Radial functions are computed "ratio-normalized",
 
     nP_l^m = sqrt((l-m)!/(l+m)!) * P_l^m,   nQ_l^m = sqrt((l-m)!/(l+m)!) * Q_l^m,
 
-which keeps magnitudes free of factorial growth.  The public
-:func:`legendre_pq` converts back to the unnormalized Ferrers-type
-convention continued to x > 1 (no Condon-Shortley phase), for which the
-Wronskian is
+which keeps magnitudes free of factorial growth.  Prolate tables are the
+Ferrers-type functions continued to x > 1 (no Condon-Shortley phase).
+Oblate tables are their real-valued continuation x -> i*zeta:
+P_l^m(i z) = i^l p_l^m(z), Q_l^m(i z) = (-i)^{l+1} q_l^m(z), with p, q
+real.  Both families run through one kernel, :func:`_radial_kernel`,
+parametrized by the continuation sign sigma (+1 prolate, -1 oblate) and
+w = x^2 - sigma:
 
-    P dQ - dP Q = (-1)^m (l+m)!/(l-m)! / (1 - x^2).
+    (2l+1) x nP_l = s_{l+1} nP_{l+1} + sigma s_l nP_{l-1},  s_l = sqrt(l^2 - m^2),
+    (2l+1) x nQ_l = sigma s_{l+1} nQ_{l+1} + s_l nQ_{l-1},
+    w nP'_l = l x nP_l - sigma s_l nP_{l-1},
+    w nQ'_l = l x nQ_l - s_l nQ_{l-1},
+    nP nQ' - nP' nQ = -(-1)^m / w.
 
 P is generated by forward recurrence in l; Q by a downward continued
-fraction for the ratio nQ_{l+1}/nQ_l, anchored with the analytic
-Wronskian.  Oblate radial functions are the real-valued continuation
-x -> i*zeta: P_l^m(i z) = i^l p_l^m(z), Q_l^m(i z) = (-i)^{l+1} q_l^m(z),
-with p, q real; the continuation flips signs in the three-term
-recurrences but the code structure is identical.
+fraction for the ratio nQ_{l+1}/nQ_l, anchored with the Wronskian.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -31,6 +33,7 @@ from scipy.special import gammaln
 from .errors import SpecFunDomainError, SpecFunOverflowError
 
 _LOG2 = math.log(2.0)
+_CF_CAP = 4000
 
 
 def log_factorial(n: int) -> float:
@@ -40,22 +43,88 @@ def log_factorial(n: int) -> float:
     return float(gammaln(n + 1.0))
 
 
-def _check_lm(l: int, m: int):
-    if m < 0 or l < m:
-        raise SpecFunDomainError(f"need 0 <= m <= l, got l={l}, m={m}")
-
-
-def _cf_extra_terms(theta_min: float, cap: int = 4000) -> int:
+def _cf_extra_terms(theta_min: float) -> int:
     """Downward-recurrence buffer: enough steps that the minimal solution
     dominates to ~1e-18, with per-step decay exp(-2*theta)."""
     if theta_min <= 0.0:
-        return cap
-    return min(cap, max(60, int(42.0 / theta_min) + 10))
+        return _CF_CAP
+    return min(_CF_CAP, max(60, int(42.0 / theta_min) + 10))
 
 
-def _seed_log_pmm(m: int, log_fac: float) -> float:
+def _seed_log_pmm(m: int) -> float:
     # log of sqrt(1/(2m)!) * (2m-1)!!  =  0.5*lf(2m) - m*log2 - lf(m)
-    return 0.5 * log_factorial(2 * m) - m * _LOG2 - log_factorial(m) + log_fac
+    return 0.5 * log_factorial(2 * m) - m * _LOG2 - log_factorial(m)
+
+
+def _check_degrees(m: int, l_max: int):
+    if m < 0 or l_max < m:
+        raise SpecFunDomainError("need 0 <= m <= l_max")
+
+
+def _radial_kernel(m: int, l_max: int, x: np.ndarray, sigma: float):
+    """Normalized P, dP, Q, dQ for l = m..l_max of the family with
+    continuation sign sigma, at points x already checked to lie in its
+    domain."""
+    L = max(l_max, m + 1)
+    npts = x.size
+    w = x * x - sigma
+
+    nP = np.zeros((L + 1, npts))
+    # seed: nP_m^m = sqrt(1/(2m)!) (2m-1)!! w^{m/2}
+    nP[m] = np.exp(_seed_log_pmm(m) + 0.5 * m * np.log(w))
+    for l in range(m, L):
+        s_hi = math.sqrt((l + 1.0 - m) * (l + 1.0 + m))
+        lower = nP[l - 1] if l > m else 0.0
+        s_lo = math.sqrt((l - m) * (l + m)) if l > m else 0.0
+        nP[l + 1] = ((2 * l + 1) * x * nP[l] - sigma * s_lo * lower) / s_hi
+    if not np.all(np.isfinite(nP)):
+        raise SpecFunOverflowError(
+            f"P_l^m overflow for m={m}, l_max={l_max}: reduce l_max or aspect"
+        )
+
+    # continued fraction for the ratios, computed downward;
+    # ratios[l] = nQ_{l+1}/nQ_l
+    theta = np.arccosh(x) if sigma > 0 else np.arcsinh(x)
+    extra = _cf_extra_terms(float(np.min(theta)))
+    ratios = np.zeros((L + 1, npts))
+    r = np.zeros(npts)
+    for l in range(L + extra, m, -1):
+        s_lo = math.sqrt(float(l * l - m * m))
+        s_hi = math.sqrt((l + 1.0 - m) * (l + 1.0 + m))
+        # downward: nQ_{l-1} = ((2l+1) x nQ_l - sigma s_{l+1} nQ_{l+1}) / s_l
+        r = s_lo / ((2 * l + 1) * x - sigma * s_hi * r)
+        if l - 1 <= L:
+            ratios[l - 1] = r
+
+    # anchor nQ_m via the Wronskian at l = m+1:
+    # nP_{m+1} nQ'_{m+1} - nP'_{m+1} nQ_{m+1} = T,  T = -(-1)^m / w
+    T = -((-1.0) ** m) / w
+    r_m = ratios[m]  # nQ_{m+1}/nQ_m
+    s1 = math.sqrt(2.0 * m + 1.0)  # sqrt((m+1)^2 - m^2)
+    nP1 = nP[m + 1]
+    dP1 = ((m + 1) * x * nP[m + 1] - sigma * s1 * nP[m]) / w
+    denom = nP1 * ((m + 1) * x * r_m - s1) / w - dP1 * r_m
+    nQ = np.zeros((L + 1, npts))
+    nQ[m] = T / denom
+    for l in range(m, L):
+        nQ[l + 1] = ratios[l] * nQ[l]
+
+    ndP = np.zeros((L + 1, npts))
+    ndQ = np.zeros((L + 1, npts))
+    # l = m: the lower term is absent, and the Wronskian gives nQ'_m
+    ndP[m] = m * x * nP[m] / w
+    ndQ[m] = (T + ndP[m] * nQ[m]) / nP[m]
+    for l in range(m + 1, L + 1):
+        s_l = math.sqrt(float(l * l - m * m))
+        ndP[l] = (l * x * nP[l] - sigma * s_l * nP[l - 1]) / w
+        ndQ[l] = (l * x * nQ[l] - s_l * nQ[l - 1]) / w
+
+    tables = (nP, ndP, nQ, ndQ)
+    if not all(np.all(np.isfinite(t)) for t in tables):
+        raise SpecFunOverflowError(
+            f"radial table overflow/underflow for m={m}, l_max={l_max}"
+        )
+    return tuple(t[: l_max + 1] for t in tables)
 
 
 def prolate_radial_table(m: int, l_max: int, x):
@@ -67,72 +136,8 @@ def prolate_radial_table(m: int, l_max: int, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x <= 1.0):
         raise SpecFunDomainError("prolate radial functions require x > 1")
-    if m < 0 or l_max < m:
-        raise SpecFunDomainError("need 0 <= m <= l_max")
-    L = max(l_max, m + 1)
-    npts = x.size
-    x2m1 = x * x - 1.0
-
-    nP = np.zeros((L + 1, npts))
-    # seed: nP_m^m = sqrt(1/(2m)!) (2m-1)!! (x^2-1)^{m/2}
-    nP[m] = np.exp(_seed_log_pmm(m, 0.0) + 0.5 * m * np.log(x2m1))
-    for l in range(m, L):
-        s_hi = math.sqrt((l + 1.0 - m) * (l + 1.0 + m))
-        lower = nP[l - 1] if l > m else 0.0
-        s_lo = math.sqrt((l - m) * (l + m)) if l > m else 0.0
-        nP[l + 1] = ((2 * l + 1) * x * nP[l] - s_lo * lower) / s_hi
-    if not np.all(np.isfinite(nP)):
-        raise SpecFunOverflowError(
-            f"P_l^m overflow for m={m}, l_max={l_max}: reduce l_max or aspect"
-        )
-
-    # continued fraction for the ratios nQ_l/nQ_{l-1}, computed downward;
-    # ratios[l] = nQ_{l+1}/nQ_l
-    theta_min = float(np.min(np.arccosh(x)))
-    extra = _cf_extra_terms(theta_min)
-    ratios = np.zeros((L + 1, npts))
-    r = np.zeros(npts)
-    for l in range(L + extra, m, -1):
-        s_lo = math.sqrt(float(l * l - m * m))
-        s_hi = math.sqrt((l + 1.0 - m) * (l + 1.0 + m))
-        # downward: nQ_{l-1} = ((2l+1) x nQ_l - s_{l+1} nQ_{l+1}) / s_l
-        r = s_lo / ((2 * l + 1) * x - s_hi * r)
-        if l - 1 <= L:
-            ratios[l - 1] = r
-
-    # anchor nQ_m via the Wronskian at l = m+1:
-    # nP_{m+1} nQ'_{m+1} - nP'_{m+1} nQ_{m+1} = T,  T = (-1)^m/(1-x^2)
-    T = ((-1.0) ** m) / (1.0 - x * x)
-    r_m = ratios[m]  # nQ_{m+1}/nQ_m
-    s1 = math.sqrt(2.0 * m + 1.0)  # sqrt((m+1)^2 - m^2)
-    nP1 = nP[m + 1]
-    # nP'_{m+1} via (x^2-1) nf' = l x nf - s_l nf_{l-1}
-    dP1 = ((m + 1) * x * nP[m + 1] - s1 * nP[m]) / x2m1
-    denom = nP1 * ((m + 1) * x * r_m - s1) / x2m1 - dP1 * r_m
-    nQm = T / denom
-
-    nQ = np.zeros((L + 1, npts))
-    nQ[m] = nQm
-    for l in range(m, L):
-        nQ[l + 1] = ratios[l] * nQ[l]
-
-    # derivatives
-    ndP = np.zeros((L + 1, npts))
-    ndQ = np.zeros((L + 1, npts))
-    # l = m: from Wronskian at m: nP_m nQ'_m - nP'_m nQ_m = T and
-    # (x^2-1) nP'_m = m x nP_m  (lower term absent)
-    ndP[m] = m * x * nP[m] / x2m1
-    ndQ[m] = (T + ndP[m] * nQ[m]) / nP[m]
-    for l in range(m + 1, L + 1):
-        s_l = math.sqrt(float(l * l - m * m))
-        ndP[l] = (l * x * nP[l] - s_l * nP[l - 1]) / x2m1
-        ndQ[l] = (l * x * nQ[l] - s_l * nQ[l - 1]) / x2m1
-
-    if not (np.all(np.isfinite(nQ)) and np.all(np.isfinite(ndP))):
-        raise SpecFunOverflowError(
-            f"Legendre table overflow/underflow for m={m}, l_max={l_max}"
-        )
-    return nP[: l_max + 1], ndP[: l_max + 1], nQ[: l_max + 1], ndQ[: l_max + 1]
+    _check_degrees(m, l_max)
+    return _radial_kernel(m, l_max, x, 1.0)
 
 
 def oblate_radial_table(m: int, l_max: int, zeta):
@@ -146,112 +151,8 @@ def oblate_radial_table(m: int, l_max: int, zeta):
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     if np.any(zeta <= 0.0):
         raise SpecFunDomainError("oblate radial functions require zeta > 0")
-    if m < 0 or l_max < m:
-        raise SpecFunDomainError("need 0 <= m <= l_max")
-    L = max(l_max, m + 1)
-    npts = zeta.size
-    z2p1 = zeta * zeta + 1.0
-
-    p = np.zeros((L + 1, npts))
-    p[m] = np.exp(_seed_log_pmm(m, 0.0) + 0.5 * m * np.log(z2p1))
-    for l in range(m, L):
-        s_hi = math.sqrt((l + 1.0 - m) * (l + 1.0 + m))
-        lower = p[l - 1] if l > m else 0.0
-        s_lo = math.sqrt((l - m) * (l + m)) if l > m else 0.0
-        p[l + 1] = ((2 * l + 1) * zeta * p[l] + s_lo * lower) / s_hi
-    if not np.all(np.isfinite(p)):
-        raise SpecFunOverflowError(
-            f"oblate p_l^m overflow for m={m}, l_max={l_max}"
-        )
-
-    theta_min = float(np.min(np.arcsinh(zeta)))
-    extra = _cf_extra_terms(theta_min)
-    ratios = np.zeros((L + 1, npts))
-    r = np.zeros(npts)
-    for l in range(L + extra, m, -1):
-        s_lo = math.sqrt(float(l * l - m * m))
-        s_hi = math.sqrt((l + 1.0 - m) * (l + 1.0 + m))
-        # downward: q_{l-1} = ((2l+1) zeta q_l + s_{l+1} q_{l+1}) / s_l
-        r = s_lo / ((2 * l + 1) * zeta + s_hi * r)
-        if l - 1 <= L:
-            ratios[l - 1] = r  # = q_l / q_{l-1} in magnitude-normalized form
-
-    # anchor via oblate Wronskian at l = m+1:
-    # p_{m+1} q'_{m+1} - p'_{m+1} q_{m+1} = T_ob,  T_ob = -(-1)^m/(1+z^2)
-    T = -((-1.0) ** m) / z2p1
-    r_m = ratios[m]
-    s1 = math.sqrt(2.0 * m + 1.0)
-    p1 = p[m + 1]
-    # (1+z^2) p'_l = l z p_l + s_l p_{l-1}
-    dp1 = ((m + 1) * zeta * p[m + 1] + s1 * p[m]) / z2p1
-    # (1+z^2) q'_l = l z q_l - s_l q_{l-1}
-    denom = p1 * ((m + 1) * zeta * r_m - s1) / z2p1 - dp1 * r_m
-    qm = T / denom
-
-    q = np.zeros((L + 1, npts))
-    q[m] = qm
-    for l in range(m, L):
-        q[l + 1] = ratios[l] * q[l]
-
-    dp = np.zeros((L + 1, npts))
-    dq = np.zeros((L + 1, npts))
-    dp[m] = m * zeta * p[m] / z2p1
-    dq[m] = (T + dp[m] * q[m]) / p[m]
-    for l in range(m + 1, L + 1):
-        s_l = math.sqrt(float(l * l - m * m))
-        dp[l] = (l * zeta * p[l] + s_l * p[l - 1]) / z2p1
-        dq[l] = (l * zeta * q[l] - s_l * q[l - 1]) / z2p1
-
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(dq))):
-        raise SpecFunOverflowError(
-            f"oblate radial table overflow for m={m}, l_max={l_max}"
-        )
-    return p[: l_max + 1], dp[: l_max + 1], q[: l_max + 1], dq[: l_max + 1]
-
-
-@dataclass(frozen=True)
-class LegendrePair:
-    """Unnormalized Ferrers-type P, Q (and x-derivatives) at one point."""
-
-    l: int
-    m: int
-    x: float
-    P: float
-    dP: float
-    Q: float
-    dQ: float
-
-
-def _ratio_factor(l: int, m: int) -> float:
-    # sqrt((l+m)!/(l-m)!), assembled in log space
-    return math.exp(0.5 * (log_factorial(l + m) - log_factorial(l - m)))
-
-
-def legendre_pq(l: int, m: int, x: float) -> LegendrePair:
-    """P_l^m(x), Q_l^m(x) and derivatives for x > 1 (Ferrers continuation,
-    no Condon-Shortley phase)."""
-    _check_lm(l, m)
-    if not x > 1.0:
-        raise SpecFunDomainError("legendre_pq requires x > 1")
-    nP, ndP, nQ, ndQ = prolate_radial_table(m, l, np.array([x]))
-    f = _ratio_factor(l, m)
-    vals = (f * nP[l, 0], f * ndP[l, 0], f * nQ[l, 0], f * ndQ[l, 0])
-    if not all(math.isfinite(v) for v in vals):
-        raise SpecFunOverflowError(f"legendre_pq overflow at l={l}, m={m}, x={x}")
-    return LegendrePair(l, m, x, *vals)
-
-
-def oblate_radial(l: int, m: int, zeta: float) -> LegendrePair:
-    """Real oblate radial functions (P-like, Q-like) and zeta-derivatives."""
-    _check_lm(l, m)
-    if not zeta > 0.0:
-        raise SpecFunDomainError("oblate_radial requires zeta > 0")
-    p, dp, q, dq = oblate_radial_table(m, l, np.array([zeta]))
-    f = _ratio_factor(l, m)
-    vals = (f * p[l, 0], f * dp[l, 0], f * q[l, 0], f * dq[l, 0])
-    if not all(math.isfinite(v) for v in vals):
-        raise SpecFunOverflowError(f"oblate_radial overflow at l={l}, m={m}")
-    return LegendrePair(l, m, zeta, *vals)
+    _check_degrees(m, l_max)
+    return _radial_kernel(m, l_max, zeta, -1.0)
 
 
 def normalized_ferrers_table(m: int, l_max: int, eta):
@@ -260,13 +161,12 @@ def normalized_ferrers_table(m: int, l_max: int, eta):
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if np.any(np.abs(eta) > 1.0):
         raise SpecFunDomainError("normalized Ferrers functions require |eta| <= 1")
-    if m < 0 or l_max < m:
-        raise SpecFunDomainError("need 0 <= m <= l_max")
+    _check_degrees(m, l_max)
     npts = eta.size
     s2 = 1.0 - eta * eta
     out = np.zeros((l_max + 1, npts))
     # Pbar_m^m = sqrt((2m+1)/2) * sqrt(1/(2m)!) (2m-1)!! (1-eta^2)^{m/2}
-    log_pre = 0.5 * math.log((2 * m + 1) / 2.0) + _seed_log_pmm(m, 0.0)
+    log_pre = 0.5 * math.log((2 * m + 1) / 2.0) + _seed_log_pmm(m)
     with np.errstate(divide="ignore"):
         logs2 = np.where(s2 > 0.0, np.log(np.maximum(s2, 1e-300)), -np.inf)
     vals = np.exp(log_pre + 0.5 * m * logs2)

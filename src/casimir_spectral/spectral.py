@@ -55,18 +55,19 @@ from .specfun import (
 _SYM_TOL = 1e-9
 
 
-def _radial_table(family: Family, m: int, l_max: int, coord):
-    if family is Family.PROLATE:
-        return prolate_radial_table(m, l_max, coord)
-    if family is Family.OBLATE:
-        return oblate_radial_table(m, l_max, coord)
-    raise SpecFunDomainError("sphere has no spheroidal radial table")
+# continuation sign of each spheroidal family: w = x^2 - sigma
+_SIGMA = {Family.PROLATE: 1.0, Family.OBLATE: -1.0}
 
 
-def _wronskian_const(family: Family, m: int, coord0: float) -> float:
-    if family is Family.PROLATE:
-        return ((-1.0) ** m) / (1.0 - coord0 * coord0)
-    return -((-1.0) ** m) / (1.0 + coord0 * coord0)
+def _radial_table(sigma: float, m: int, l_max: int, coord):
+    # resolved through the module globals at call time, so a wrapper put
+    # on either name (the benchmark trace does this) sees every call
+    table = prolate_radial_table if sigma > 0 else oblate_radial_table
+    return table(m, l_max, coord)
+
+
+def _wronskian_const(sigma: float, m: int, coord0: float) -> float:
+    return -((-1.0) ** m) / (coord0 * coord0 - sigma)
 
 
 def isolated_depolarization_table(spheroid: Spheroid, m: int, l_max: int) -> np.ndarray:
@@ -76,9 +77,10 @@ def isolated_depolarization_table(spheroid: Spheroid, m: int, l_max: int) -> np.
         out = np.where(l >= 1, l / (2.0 * l + 1.0), 0.0)
         out[:m] = 0.0
         return out
+    sigma = _SIGMA[spheroid.family]
     x0 = spheroid_xi0(spheroid)
-    nP, ndP, nQ, ndQ = _radial_table(spheroid.family, m, l_max, np.array([x0]))
-    T = _wronskian_const(spheroid.family, m, x0)
+    nP, ndP, nQ, ndQ = _radial_table(sigma, m, l_max, np.array([x0]))
+    T = _wronskian_const(sigma, m, x0)
     out = -ndP[:, 0] * nQ[:, 0] / T
     out[:m] = 0.0
     return out
@@ -122,39 +124,28 @@ def _sphere_coupling(a: float, d: float, m: int, l_max: int) -> np.ndarray:
     return D
 
 
-def _invert_prolate(rho, z, F):
-    """(xi, eta) from cylindrical (rho, z) for semi-focal distance F."""
+def _invert(rho, z, F, sigma):
+    """(xi, eta) from cylindrical (rho, z): prolate (sigma = +1) with
+    semi-focal distance F, oblate (sigma = -1) with focal-ring radius F."""
     rr = (rho * rho + z * z) / (F * F)
-    S = 1.0 + rr
-    disc = np.sqrt(np.maximum(S * S - 4.0 * (z / F) ** 2, 0.0))
-    xi2 = 0.5 * (S + disc)
-    xi = np.sqrt(xi2)
-    eta = z / (F * xi)
+    S = rr + sigma
+    disc = np.sqrt(np.maximum(S * S - 4.0 * sigma * (z / F) ** 2, 0.0))
+    xi = np.sqrt(np.maximum(0.5 * (S + disc), 0.0))
+    eta = np.where(xi > 0.0, z / (F * xi), 0.0)
     return xi, np.clip(eta, -1.0, 1.0)
-
-
-def _invert_oblate(rho, z, F):
-    """(zeta, eta) from cylindrical (rho, z) for focal-ring radius F."""
-    rr = (rho * rho + z * z) / (F * F)
-    Sp = rr - 1.0
-    disc = np.sqrt(Sp * Sp + 4.0 * (z / F) ** 2)
-    zeta2 = 0.5 * (Sp + disc)
-    zeta = np.sqrt(np.maximum(zeta2, 0.0))
-    eta = np.where(zeta > 0.0, z / (F * zeta), 0.0)
-    return zeta, np.clip(eta, -1.0, 1.0)
 
 
 def _spheroid_coupling(particle: PlacedParticle, m: int, l_max: int) -> np.ndarray:
     """Image coupling matrix for a spheroid by direct mirror projection."""
     sph = particle.spheroid
-    family = sph.family
+    sigma = _SIGMA[sph.family]
     F = sph.focal_scale
     x0 = spheroid_xi0(sph)
     d = particle.center_height
     l_min = max(1, m)
 
-    nP0, ndP0, nQ0, ndQ0 = _radial_table(family, m, l_max, np.array([x0]))
-    T = _wronskian_const(family, m, x0)
+    nP0, ndP0, nQ0, ndQ0 = _radial_table(sigma, m, l_max, np.array([x0]))
+    T = _wronskian_const(sigma, m, x0)
     c = -nP0[:, 0] * ndP0[:, 0] / T  # signed normalization weights
     c_block = c[l_min:]
     sign = -1.0 if m % 2 else 1.0
@@ -167,22 +158,15 @@ def _spheroid_coupling(particle: PlacedParticle, m: int, l_max: int) -> np.ndarr
     # quadrature on the particle surface, eta in [-1, 1]
     n_quad = 2 * l_max + 64
     eta, gw = leggauss(n_quad)
-    if family is Family.PROLATE:
-        z_s = F * x0 * eta
-        rho = F * np.sqrt(np.maximum((x0 * x0 - 1.0) * (1.0 - eta * eta), 0.0))
-    else:
-        z_s = F * x0 * eta
-        rho = F * np.sqrt(np.maximum((1.0 + x0 * x0) * (1.0 - eta * eta), 0.0))
+    z_s = F * x0 * eta
+    rho = F * np.sqrt(np.maximum((x0 * x0 - sigma) * (1.0 - eta * eta), 0.0))
 
     # mirror of the surface point through the substrate plane, in the
     # particle-centered frame: z -> -(2d) - z
     z_m = -2.0 * d - z_s
-    if family is Family.PROLATE:
-        xi_m, eta_m = _invert_prolate(rho, z_m, F)
-    else:
-        xi_m, eta_m = _invert_oblate(rho, z_m, F)
+    xi_m, eta_m = _invert(rho, z_m, F, sigma)
 
-    _, _, nQ_m, _ = _radial_table(family, m, l_max, xi_m)
+    _, _, nQ_m, _ = _radial_table(sigma, m, l_max, xi_m)
     Pbar_m = normalized_ferrers_table(m, l_max, eta_m)
     psi = nQ_m[l_min:] * Pbar_m[l_min:]  # (n_l, n_quad): reflected harmonics
 
@@ -220,21 +204,6 @@ def coupling_matrix_D(particle: PlacedParticle, m: int, l_max: int) -> np.ndarra
     return _spheroid_coupling(particle, m, l_max)
 
 
-def build_H(config: SystemConfig, m: int) -> np.ndarray:
-    """H = diag(n_iso) + f_c D for azimuthal sector m.
-
-    Depends only on geometry and the substrate/ambient contrast, never on
-    the particle's dielectric function.
-    """
-    l_min = max(1, m)
-    n_iso = isolated_depolarization_table(config.particle.spheroid, m, config.l_max)
-    H = np.diag(n_iso[l_min:])
-    f_c = config.f_c
-    if f_c != 0.0:
-        H = H + f_c * coupling_matrix_D(config.particle, m, config.l_max)
-    return H
-
-
 @dataclass(frozen=True)
 class SpectralBlock:
     """Eigendecomposition of one azimuthal sector's coupling matrix."""
@@ -243,6 +212,7 @@ class SpectralBlock:
     l_min: int
     l_max: int
     H: np.ndarray
+    isolated: np.ndarray  # ascending n_iso, the modes at infinite gap
     eigenvalues: np.ndarray  # ascending
     eigenvectors: np.ndarray  # columns are modes
     strengths: np.ndarray  # C[l_index, mode] = U[l_index, mode]^2
@@ -266,13 +236,25 @@ def eigendecompose(H: np.ndarray):
 
 
 def spectral_block(config: SystemConfig, m: int) -> SpectralBlock:
-    H = build_H(config, m)
+    """Eigendecomposition of H = diag(n_iso) + f_c D for azimuthal sector m.
+
+    H depends only on geometry and the substrate/ambient contrast, never on
+    the particle's dielectric function.
+    """
+    l_min = max(1, m)
+    n_iso = isolated_depolarization_table(config.particle.spheroid, m, config.l_max)
+    n_iso = n_iso[l_min:]
+    H = np.diag(n_iso)
+    f_c = config.f_c
+    if f_c != 0.0:
+        H = H + f_c * coupling_matrix_D(config.particle, m, config.l_max)
     vals, vecs, C = eigendecompose(H)
     return SpectralBlock(
         m=m,
-        l_min=max(1, m),
+        l_min=l_min,
         l_max=config.l_max,
         H=H,
+        isolated=np.sort(n_iso),
         eigenvalues=vals,
         eigenvectors=vecs,
         strengths=C,
@@ -284,22 +266,20 @@ class ModeSpectrum:
     """Coupled and isolated eigenvalue sets across all azimuthal sectors."""
 
     blocks: tuple
-    isolated: tuple  # per block: ascending isolated eigenvalues
 
     def mode_sum(self, func) -> float:
         """Sum multiplicity * sum_s [func(n_z) - func(n_inf)] over sectors,
         pairing modes by sorted index within each sector."""
         total = 0.0
-        for block, iso in zip(self.blocks, self.isolated):
+        for block in self.blocks:
             total += block.multiplicity * float(
-                np.sum(func(block.eigenvalues) - func(iso))
+                np.sum(func(block.eigenvalues) - func(block.isolated))
             )
         return total
 
 
 def mode_spectrum(config: SystemConfig) -> ModeSpectrum:
     blocks = []
-    isolated = []
     for m in range(0, config.m_max + 1):
         block = spectral_block(config, m)
         lo = float(block.eigenvalues[0])
@@ -309,12 +289,8 @@ def mode_spectrum(config: SystemConfig) -> ModeSpectrum:
                 f"eigenvalue outside (0,1) in sector m={m}: "
                 f"min={lo:.6g}, max={hi:.6g}; increase l_max or the gap"
             )
-        n_iso = isolated_depolarization_table(
-            config.particle.spheroid, m, config.l_max
-        )[max(1, m):]
         blocks.append(block)
-        isolated.append(np.sort(n_iso))
-    return ModeSpectrum(blocks=tuple(blocks), isolated=tuple(isolated))
+    return ModeSpectrum(blocks=tuple(blocks))
 
 
 def mode_frequencies(block: SpectralBlock, omega_p: float) -> np.ndarray:

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casimir_spectral.errors import SpecFunDomainError
+from casimir_spectral.errors import SpecFunDomainError, SpecFunOverflowError
 from casimir_spectral.specfun import (
-    legendre_pq,
     log_factorial,
     normalized_ferrers_table,
-    oblate_radial,
     oblate_radial_table,
     prolate_radial_table,
 )
@@ -53,11 +51,11 @@ class TestLogFactorial:
 
 class TestProlateRadial:
     def test_closed_forms_at_two(self):
-        pair0 = legendre_pq(0, 0, 2.0)
-        assert pair0.Q == pytest.approx(0.5 * math.log(3.0), rel=1e-14)
-        pair1 = legendre_pq(1, 0, 2.0)
-        assert pair1.P == pytest.approx(2.0)
-        assert pair1.Q == pytest.approx(math.log(3.0) - 1.0, rel=1e-13)
+        # at m = 0 the ratio normalization is 1
+        nP, ndP, nQ, ndQ = prolate_radial_table(0, 1, [2.0])
+        assert nQ[0, 0] == pytest.approx(0.5 * math.log(3.0), rel=1e-14)
+        assert nP[1, 0] == pytest.approx(2.0)
+        assert nQ[1, 0] == pytest.approx(math.log(3.0) - 1.0, rel=1e-13)
 
     @pytest.mark.parametrize("m", [0, 1, 3, 8])
     @pytest.mark.parametrize("x", [1.0001, 1.05, 1.5, 4.0])
@@ -83,9 +81,27 @@ class TestProlateRadial:
         expected = (-1.0) ** m / (1.0 - x * x)
         assert wron == pytest.approx(expected, rel=1e-9)
 
-    def test_domain_check(self):
+    @pytest.mark.parametrize(
+        "table, inside, outside",
+        [(prolate_radial_table, 1.5, 1.0), (oblate_radial_table, 0.5, 0.0)],
+        ids=["prolate", "oblate"],
+    )
+    @pytest.mark.parametrize(
+        "m, l_max, bad_coord",
+        [(0, 5, True), (-1, 5, False), (4, 3, False)],
+        ids=["coordinate", "negative_m", "l_max_below_m"],
+    )
+    def test_domain_check(self, table, inside, outside, m, l_max, bad_coord):
+        coord = [inside, outside] if bad_coord else [inside]
         with pytest.raises(SpecFunDomainError):
-            prolate_radial_table(0, 5, np.array([0.5]))
+            table(m, l_max, np.array(coord))
+
+    @pytest.mark.parametrize(
+        "table", [prolate_radial_table, oblate_radial_table], ids=["prolate", "oblate"]
+    )
+    def test_overflow_raises(self, table):
+        with pytest.raises(SpecFunOverflowError):
+            table(0, 90, np.array([1e4]))
 
 
 class TestOblateRadial:
@@ -111,13 +127,6 @@ class TestOblateRadial:
         wron = p[l, 0] * dq[l, 0] - dp[l, 0] * q[l, 0]
         expected = -((-1.0) ** m) / (1.0 + zeta * zeta)
         assert wron == pytest.approx(expected, rel=1e-9)
-
-    def test_scalar_wrapper(self):
-        pair = oblate_radial(3, 1, 0.7)
-        table = oblate_radial_table(1, 3, np.array([0.7]))
-        norm = _norm(3, 1)
-        assert pair.P == pytest.approx(table[0][3, 0] / norm)
-        assert pair.Q == pytest.approx(table[2][3, 0] / norm)
 
 
 class TestFerrers:

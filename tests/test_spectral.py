@@ -12,7 +12,6 @@ from casimir_spectral.model import (
     SystemConfig,
 )
 from casimir_spectral.spectral import (
-    build_H,
     coupling_matrix_D,
     effective_polarizability,
     isolated_depolarization,
@@ -141,7 +140,7 @@ class TestSpectralBlocks:
             gap = rng.uniform(0.2, 5.0)
             cfg = _config(ctor(aspect, 1.0), gap, Medium.constant(rng.uniform(1.5, 20.0)), l_max=10)
             for m in (0, 1):
-                H = build_H(cfg, m)
+                H = spectral_block(cfg, m).H
                 assert np.allclose(H, H.T, atol=1e-10)
 
     def test_mode_frequencies_drude(self):
