@@ -187,10 +187,10 @@ def _substrate_from(params: dict) -> Medium:
     return Medium.constant(params["substrate.epsilon"])
 
 
-def _system_config(params: dict, gap: float) -> SystemConfig:
+def _system_config(params: dict, spheroid, substrate, gap) -> SystemConfig:
     return SystemConfig(
-        particle=PlacedParticle(_spheroid_from(params), gap=gap),
-        substrate_medium=_substrate_from(params),
+        particle=PlacedParticle(spheroid, gap=gap),
+        substrate_medium=substrate,
         ambient_epsilon=params["ambient.epsilon"],
         l_max=params["truncation.l_max"],
     )
@@ -217,7 +217,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _preamble(run: RunConfig, extra: dict | None = None) -> list:
+def _preamble(run: RunConfig, extra: dict) -> list:
     lines = [
         f"# casimir-spectral {__version__}",
         f"# scenario = {run.scenario}",
@@ -229,8 +229,8 @@ def _preamble(run: RunConfig, extra: dict | None = None) -> list:
         else:
             value = _fmt(value)
         lines.append(f"# {key} = {value}")
-    for key in sorted(extra or {}):
-        lines.append(f"# {key} = {_fmt((extra or {})[key])}")
+    for key in sorted(extra):
+        lines.append(f"# {key} = {_fmt(extra[key])}")
     lines.extend(
         [
             "# convention: eigenvalues are depolarization factors n in (0, 1)",
@@ -250,26 +250,27 @@ def _write_csv(path: str, preamble: list, columns: tuple, rows: list) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _sweep_records(run: RunConfig, labels, make_config, grid, extra=None) -> list:
-    """Run energy_sweep over labels x grid; one CSV record per (label, z).
+def _run_ladder(
+    run: RunConfig, labels, make_config, grid, preamble, extra=None, tag=None
+) -> int:
+    """Run energy_sweep over labels x grid, write the CSV, return the exit code.
 
-    Each record holds the label's keys, the base columns and, on converged
-    rows, one column per ``extra`` entry, computed as fn(config, sample).
-    ``beta_local`` comes from the converged samples of the same label.  A
-    failed row keeps ``z_over_rmin`` and leaves the other values empty.
+    One record per (label, z) holds the label's keys, the base columns and,
+    on converged rows, one column per ``extra`` entry, computed as
+    fn(config, sample).  ``beta_local`` comes from the converged samples of
+    the same label.  A failed row keeps ``z_over_rmin`` and leaves the other
+    values empty.  ``preamble`` holds the extra preamble entries.  With
+    ``tag``, each label goes to its own file, the output path suffixed with
+    ``_<tag(label)>``, and its keys join that file's preamble.
     """
     params = run.parameters
     extra = extra or {}
-    results = energy_sweep(
-        make_config,
-        grid,
-        labels=labels,
-        tolerance=params["truncation.tolerance"],
-        l_cap=params["truncation.l_max"],
-    )
-    records = []
+    tolerance, l_cap = params["truncation.tolerance"], params["truncation.l_max"]
+    results = energy_sweep(make_config, grid, labels, tolerance=tolerance, l_cap=l_cap)
+    tables = []
     for label, (sweep, rows) in zip(labels, results):
         betas = iter(sweep.local_exponents())
+        records = []
         for z_rel, row in zip(sorted(grid), rows):
             config = make_config(label, z_rel)
             record = dict(
@@ -287,11 +288,22 @@ def _sweep_records(run: RunConfig, labels, make_config, grid, extra=None) -> lis
                 )
                 record.update({name: fn(config, sample) for name, fn in extra.items()})
             records.append(record)
-    return records
+        tables.append(records)
 
-
-def _exit_code(run: RunConfig, records: list) -> int:
-    return 2 if run.strict and not all(r["converged"] for r in records) else 0
+    columns = _BASE_COLUMNS + tuple(labels[0]) + tuple(extra)
+    every = [record for records in tables for record in records]
+    if tag is None:
+        files = [(run.output_path, preamble, every)]
+    else:
+        stem = run.output_path.removesuffix(".csv")
+        suffix = run.output_path[len(stem):]
+        files = [
+            (f"{stem}_{tag(label)}{suffix}", {**preamble, **label}, records)
+            for label, records in zip(labels, tables)
+        ]
+    for path, entries, records in files:
+        _write_csv(path, _preamble(run, entries), columns, records)
+    return 2 if run.strict and not all(r["converged"] for r in every) else 0
 
 
 def _pfa_ratio(config: SystemConfig, sample) -> float:
@@ -308,27 +320,16 @@ def _pfa_ratio(config: SystemConfig, sample) -> float:
 def _scenario_modes(run: RunConfig) -> int:
     params = run.parameters
     z = _grid(params)[0] * params["geometry.r_minor"]
-    cfg = _system_config(params, z)
+    cfg = _system_config(params, _spheroid_from(params), _substrate_from(params), z)
     spectrum = mode_spectrum(cfg)
-    records = []
-    for block in spectrum.blocks:
-        for index, n in enumerate(np.sort(block.eigenvalues)):
-            records.append(
-                {
-                    "m": block.m,
-                    "mode_index": index,
-                    "n": float(n),
-                    "omega_over_omega_p": math.sqrt(float(n)),
-                    "multiplicity": block.multiplicity,
-                }
-            )
     columns = ("m", "mode_index", "n", "omega_over_omega_p", "multiplicity")
-    _write_csv(
-        run.output_path,
-        _preamble(run, {"f_c": cfg.f_c, "z_over_rmin": z / params["geometry.r_minor"]}),
-        columns,
-        records,
-    )
+    records = [
+        dict(zip(columns, (block.m, i, float(n), math.sqrt(n), block.multiplicity)))
+        for block in spectrum.blocks
+        for i, n in enumerate(np.sort(block.eigenvalues))
+    ]
+    preamble = {"f_c": cfg.f_c, "z_over_rmin": z / params["geometry.r_minor"]}
+    _write_csv(run.output_path, _preamble(run, preamble), columns, records)
     return 0
 
 
@@ -344,42 +345,24 @@ _SWEEP_EXTRAS = {
 def _scenario_sweep(run: RunConfig) -> int:
     """The configured geometry and substrate over the z/r_min grid."""
     params = run.parameters
+    spheroid, substrate = _spheroid_from(params), _substrate_from(params)
     r_minor = params["geometry.r_minor"]
     grid = _grid(params)
 
     def make_config(label, z_rel):
-        return _system_config(params, z_rel * r_minor)
+        return _system_config(params, spheroid, substrate, z_rel * r_minor)
 
+    preamble = {"f_c": make_config({}, grid[0]).f_c}
     extra = _SWEEP_EXTRAS[run.scenario]
-    records = _sweep_records(run, ({},), make_config, grid, extra)
-    _write_csv(
-        run.output_path,
-        _preamble(run, {"f_c": make_config({}, grid[0]).f_c}),
-        _BASE_COLUMNS + tuple(extra),
-        records,
-    )
-    return _exit_code(run, records)
+    return _run_ladder(run, ({},), make_config, grid, preamble, extra)
 
 
-def _figure_config(params: dict, spheroid, substrate, gap) -> SystemConfig:
-    return SystemConfig(
-        particle=PlacedParticle(spheroid, gap=gap),
-        substrate_medium=substrate,
-        l_max=params["truncation.l_max"],
-    )
-
-
-FIG1_SUBSTRATES = (("inf", math.inf), ("7p8", 7.8), ("3p12", 3.12), ("1p6", 1.6))
-
-
-def _tagged_path(path: str, tag: str) -> str:
-    if path.endswith(".csv"):
-        return f"{path[:-4]}_{tag}.csv"
-    return f"{path}_{tag}"
+FIG1_EPSILONS = (math.inf, 7.8, 3.12, 1.6)
 
 
 def _scenario_fig1(run: RunConfig) -> int:
-    """Oblate aspect 1.4 over the four substrates of increasing contrast."""
+    """Oblate aspect 1.4 over the four substrates of increasing contrast;
+    one file per substrate, tagged by its epsilon (eps_inf, eps_7p8, ...)."""
     params = run.parameters
     spheroid = Spheroid.oblate(1.4, 1.0)
 
@@ -388,20 +371,16 @@ def _scenario_fig1(run: RunConfig) -> int:
         substrate = (
             Medium.perfect_conductor() if math.isinf(eps) else Medium.constant(eps)
         )
-        return _figure_config(params, spheroid, substrate, z_rel)
+        return _system_config(params, spheroid, substrate, z_rel)
 
-    labels = [{"epsilon_sub": eps} for _, eps in FIG1_SUBSTRATES]
+    def tag(label):
+        return "eps_" + _fmt(label["epsilon_sub"]).replace(".", "p")
+
+    labels = [{"epsilon_sub": eps} for eps in FIG1_EPSILONS]
     # .tolist(): the gaps of fig1 and fig2 are Python floats and those of
     # fig4 numpy scalars, which keeps each point's config repr stable
-    records = _sweep_records(run, labels, make_config, _grid(params).tolist())
-    for tag, eps in FIG1_SUBSTRATES:
-        _write_csv(
-            _tagged_path(run.output_path, f"eps_{tag}"),
-            _preamble(run, {"epsilon_sub": eps, "aspect_ratio": 1.4}),
-            _BASE_COLUMNS + ("epsilon_sub",),
-            [r for r in records if r["epsilon_sub"] == eps],
-        )
-    return _exit_code(run, records)
+    grid = _grid(params).tolist()
+    return _run_ladder(run, labels, make_config, grid, {"aspect_ratio": 1.4}, tag=tag)
 
 
 FIG2_ASPECTS = (1.2, 1.6, 2.0)
@@ -415,17 +394,11 @@ def _scenario_fig2(run: RunConfig) -> int:
 
     def make_config(label, z_rel):
         spheroid = Spheroid.prolate(label["aspect_ratio"], 1.0)
-        return _figure_config(params, spheroid, substrate, z_rel)
+        return _system_config(params, spheroid, substrate, z_rel)
 
     labels = [{"aspect_ratio": aspect} for aspect in FIG2_ASPECTS]
-    records = _sweep_records(run, labels, make_config, _grid(params).tolist())
-    _write_csv(
-        run.output_path,
-        _preamble(run, {"epsilon_sub": FIG2_EPSILON}),
-        _BASE_COLUMNS + ("aspect_ratio",),
-        records,
-    )
-    return _exit_code(run, records)
+    grid = _grid(params).tolist()
+    return _run_ladder(run, labels, make_config, grid, {"epsilon_sub": FIG2_EPSILON})
 
 
 FIG3_Z_OVER_RPERP = 0.25
@@ -452,18 +425,11 @@ def _scenario_fig3(run: RunConfig) -> int:
     def make_config(label, z_over_rperp):
         spheroid = _fig3_spheroid(label["aspect_ratio"])
         gap = z_over_rperp * spheroid.r_perp
-        return _figure_config(params, spheroid, substrate, gap)
+        return _system_config(params, spheroid, substrate, gap)
 
     labels = [{"aspect_ratio": r} for r in _grid(params, "sweep.aspect_ratio")]
-    records = _sweep_records(run, labels, make_config, (FIG3_Z_OVER_RPERP,))
-    extras = {"epsilon_sub": FIG3_EPSILON, "z_over_rperp": FIG3_Z_OVER_RPERP}
-    _write_csv(
-        run.output_path,
-        _preamble(run, extras),
-        _BASE_COLUMNS + ("aspect_ratio",),
-        records,
-    )
-    return _exit_code(run, records)
+    preamble = {"epsilon_sub": FIG3_EPSILON, "z_over_rperp": FIG3_Z_OVER_RPERP}
+    return _run_ladder(run, labels, make_config, (FIG3_Z_OVER_RPERP,), preamble)
 
 
 # two prolate families with the same apex curvature radius r_minor^2 / r_major = 0.5
@@ -479,19 +445,12 @@ def _scenario_fig4(run: RunConfig) -> int:
 
     def make_config(label, z_rel):
         spheroid = by_aspect[label["aspect_ratio"]]
-        return _figure_config(params, spheroid, substrate, z_rel * spheroid.r_minor)
+        return _system_config(params, spheroid, substrate, z_rel * spheroid.r_minor)
 
     labels = [{"aspect_ratio": aspect} for aspect in by_aspect]
-    records = _sweep_records(
-        run, labels, make_config, _grid(params), {"pfa_ratio": _pfa_ratio}
-    )
-    _write_csv(
-        run.output_path,
-        _preamble(run, {"epsilon_sub": FIG4_EPSILON, "apex_radius": 0.5}),
-        _BASE_COLUMNS + ("aspect_ratio", "pfa_ratio"),
-        records,
-    )
-    return _exit_code(run, records)
+    preamble = {"epsilon_sub": FIG4_EPSILON, "apex_radius": 0.5}
+    extra = {"pfa_ratio": _pfa_ratio}
+    return _run_ladder(run, labels, make_config, _grid(params), preamble, extra)
 
 
 def _scenario_verify(run: RunConfig) -> int:

@@ -22,8 +22,8 @@ from .model import SystemConfig
 from .spectral import mode_spectrum
 
 DEFAULT_TOLERANCE = 1e-3
-DEFAULT_L_STEP = 5
 DEFAULT_L_CAP = 90
+L_STEP = 5  # rung spacing, and first rung, of the convergence ladder
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def _config_fingerprint(config: SystemConfig) -> str:
     canon = (
         f"family={sph.family.value};r_major={sph.r_major!r};r_minor={sph.r_minor!r};"
         f"gap={config.particle.gap!r};sub={config.substrate_medium};"
-        f"amb={config.ambient_epsilon!r};l_max={config.l_max};m_max={config.m_max}"
+        f"amb={config.ambient_epsilon!r};l_max={config.l_max}"
     )
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -96,8 +96,6 @@ def zero_point_energy(config: SystemConfig) -> EnergySample:
 def convergence_ladder(
     config: SystemConfig,
     tolerance: float = DEFAULT_TOLERANCE,
-    l_step: int = DEFAULT_L_STEP,
-    l_start: int = DEFAULT_L_STEP,
     l_cap: int = DEFAULT_L_CAP,
 ) -> EnergySample:
     """Increase l_max until |delta Xi| / |Xi| <= tolerance.
@@ -107,12 +105,9 @@ def convergence_ladder(
     """
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
-    if l_step < 1:
-        raise ValueError("l_step must be >= 1")
     prev = None
     history = []
-    l = l_start
-    while l <= l_cap:
+    for l in range(L_STEP, l_cap + 1, L_STEP):
         sample = zero_point_energy(config.with_l_max(l))
         history.append((l, sample.xi))
         if prev is not None:
@@ -128,7 +123,6 @@ def convergence_ladder(
                     l_max_used=prev.l_max_used,
                 )
         prev = sample
-        l += l_step
     raise ConvergenceError(
         f"energy not converged to {tolerance:g} at l_max cap {l_cap} "
         f"(z/r_min = {config.particle.gap / config.particle.spheroid.r_minor:.4g})",
@@ -168,7 +162,6 @@ def energy_sweep(
     z_over_rmin_grid,
     labels=((),),
     tolerance: float = DEFAULT_TOLERANCE,
-    l_step: int = DEFAULT_L_STEP,
     l_cap: int = DEFAULT_L_CAP,
 ) -> list:
     """Evaluate the Cartesian product labels x z-grid with the convergence
@@ -186,9 +179,7 @@ def energy_sweep(
         for z_rel in z_grid:
             cfg = make_config(label, z_rel)
             try:
-                sample = convergence_ladder(
-                    cfg, tolerance=tolerance, l_step=l_step, l_cap=l_cap
-                )
+                sample = convergence_ladder(cfg, tolerance=tolerance, l_cap=l_cap)
                 rows.append(SweepRow(label=dict(label), sample=sample))
             except CasimirSpectralError as exc:  # recorded, not raised
                 rows.append(

@@ -15,7 +15,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Union
 
@@ -230,17 +230,12 @@ class SystemConfig:
     particle_medium: Medium = field(default_factory=lambda: Medium.drude(1.0))
     ambient_epsilon: float = 1.0
     l_max: int = 10
-    m_max: int | None = None
 
     def __post_init__(self):
         if not self.ambient_epsilon > 0.0:
             raise InvalidMediumError("ambient epsilon must be positive")
         if self.l_max < 1:
             raise ValueError("l_max must be >= 1")
-        if self.m_max is None:
-            object.__setattr__(self, "m_max", self.l_max)
-        if not (0 <= self.m_max <= self.l_max):
-            raise ValueError("m_max must lie in [0, l_max]")
         # Keys f_c early so invalid substrate media fail at construction.
         contrast_fc(self.ambient_epsilon, self.substrate_medium)
 
@@ -248,22 +243,8 @@ class SystemConfig:
     def f_c(self) -> float:
         return contrast_fc(self.ambient_epsilon, self.substrate_medium)
 
-    def with_l_max(self, l_max: int, m_max: int | None = None) -> "SystemConfig":
-        return SystemConfig(
-            particle=self.particle,
-            substrate_medium=self.substrate_medium,
-            particle_medium=self.particle_medium,
-            ambient_epsilon=self.ambient_epsilon,
-            l_max=l_max,
-            m_max=m_max,
-        )
+    def with_l_max(self, l_max: int) -> "SystemConfig":
+        return replace(self, l_max=l_max)
 
     def scaled(self, factor: float) -> "SystemConfig":
-        return SystemConfig(
-            particle=self.particle.scaled(factor),
-            substrate_medium=self.substrate_medium,
-            particle_medium=self.particle_medium,
-            ambient_epsilon=self.ambient_epsilon,
-            l_max=self.l_max,
-            m_max=self.m_max,
-        )
+        return replace(self, particle=self.particle.scaled(factor))

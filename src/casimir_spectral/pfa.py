@@ -12,21 +12,22 @@ so the energy per unit area is
     V(z) = (hbar omega_p / (4 sqrt(2) pi)) z^{-2} I(f_c),
     I(f_c) = int_0^inf u (sqrt(1 + f_c exp(-2u)) - 1) du,
 
-a pure z^{-2} law.  Energies are returned in units of hbar*omega_p unless
-an explicit hbar_omega_p is supplied.  Retardation (the large-distance
-z^{-3} force regime) is out of scope.
+a pure z^{-2} law.  Energies are in units of hbar*omega_p, like the
+spectral energy Xi, and lengths in the units of the gap: V is an energy
+per unit area and a force an energy per unit length.
+Retardation (the large-distance z^{-3} force regime) is out of scope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy.integrate import quad
 
 from .errors import ContactError, InvalidMediumError
-from .model import Medium, MediumKind, SystemConfig, contrast_fc
-from .energy import DEFAULT_L_CAP, DEFAULT_L_STEP, DEFAULT_TOLERANCE, convergence_ladder
+from .model import Medium, MediumKind, PlacedParticle, SystemConfig, contrast_fc
+from .energy import convergence_ladder
 
 PFA_GAP_WARNING_RATIO = 0.2
 
@@ -89,7 +90,7 @@ def plate_mode_omega(k: float, pair: PlatePair) -> float:
     return pair.metal.omega_p * math.sqrt(0.5 * arg)
 
 
-def mode_integral(f_c: float, rel_tol: float = 1e-10) -> float:
+def mode_integral(f_c: float) -> float:
     """I(f_c) = int_0^inf u (sqrt(1 + f_c e^{-2u}) - 1) du; I(0) = 0,
     strictly increasing on [-1, 1)."""
     if f_c == 0.0:
@@ -99,22 +100,18 @@ def mode_integral(f_c: float, rel_tol: float = 1e-10) -> float:
         0.0,
         40.0,
         epsabs=0.0,
-        epsrel=rel_tol,
+        epsrel=1e-10,
         limit=200,
     )
     return val
 
 
-def plate_energy_per_area(pair: PlatePair, hbar_omega_p: float = 1.0) -> float:
+def plate_energy_per_area(pair: PlatePair) -> float:
     """V(z) = (hbar omega_p / (4 sqrt(2) pi)) z^{-2} I(f_c); negative for
     attractive contrast f_c < 0."""
     if not pair.gap > 0.0:
         raise ContactError("gap must be positive")
-    return (
-        hbar_omega_p
-        * mode_integral(pair.f_c)
-        / (4.0 * math.sqrt(2.0) * math.pi * pair.gap**2)
-    )
+    return mode_integral(pair.f_c) / (4.0 * math.sqrt(2.0) * math.pi * pair.gap**2)
 
 
 @dataclass(frozen=True)
@@ -123,11 +120,10 @@ class PfaForce:
     questionable: bool
 
 
-def pfa_force(curved: CurvedSurfacePFA, pair: PlatePair, hbar_omega_p: float = 1.0) -> PfaForce:
+def pfa_force(curved: CurvedSurfacePFA, pair: PlatePair) -> PfaForce:
     """F = 2 pi (R1 R2/(R1+R2)) V(z); R1 = inf reduces to F = 2 pi R V(z)."""
     V = plate_energy_per_area(
-        PlatePair(pair.metal, pair.substrate, pair.ambient_epsilon, curved.gap),
-        hbar_omega_p,
+        PlatePair(pair.metal, pair.substrate, pair.ambient_epsilon, curved.gap)
     )
     return PfaForce(
         force=2.0 * math.pi * curved.effective_radius * V,
@@ -154,20 +150,13 @@ class PfaComparisonRow:
     apex_radius: float
 
 
-def pfa_vs_spectral_report(
-    config: SystemConfig,
-    z_grid,
-    tolerance: float = DEFAULT_TOLERANCE,
-    l_step: int = DEFAULT_L_STEP,
-    l_cap: int = DEFAULT_L_CAP,
-) -> list:
+def pfa_vs_spectral_report(config: SystemConfig, z_grid) -> list:
     """Exact spectral energy vs the apex-curvature PFA estimate per gap.
 
     The PFA maps the spheroid to its apex radius of curvature
-    (prolate: r_minor^2/r_major, oblate: r_major^2/r_minor).
+    (prolate: r_minor^2/r_major, oblate: r_major^2/r_minor).  A gap whose
+    ladder does not converge raises.
     """
-    from .model import PlacedParticle  # local import to avoid cycle noise
-
     rows = []
     sph = config.particle.spheroid
     R_apex = sph.apex_curvature_radius
@@ -180,14 +169,7 @@ def pfa_vs_spectral_report(
         gap=1.0,
     )
     for z in sorted(float(v) for v in z_grid):
-        cfg = SystemConfig(
-            particle=PlacedParticle(sph, z),
-            substrate_medium=config.substrate_medium,
-            particle_medium=config.particle_medium,
-            ambient_epsilon=config.ambient_epsilon,
-            l_max=config.l_max,
-        )
-        sample = convergence_ladder(cfg, tolerance=tolerance, l_step=l_step, l_cap=l_cap)
+        sample = convergence_ladder(replace(config, particle=PlacedParticle(sph, z)))
         xi_pfa = pfa_energy_sphere_plane(R_apex, z, pair_template)
         rows.append(
             PfaComparisonRow(

@@ -167,12 +167,12 @@ def normalized_ferrers_table(m: int, l_max: int, eta):
     out = np.zeros((l_max + 1, npts))
     # Pbar_m^m = sqrt((2m+1)/2) * sqrt(1/(2m)!) (2m-1)!! (1-eta^2)^{m/2}
     log_pre = 0.5 * math.log((2 * m + 1) / 2.0) + _seed_log_pmm(m)
-    with np.errstate(divide="ignore"):
-        logs2 = np.where(s2 > 0.0, np.log(np.maximum(s2, 1e-300)), -np.inf)
-    vals = np.exp(log_pre + 0.5 * m * logs2)
-    if m > 0:
-        vals = np.where(s2 > 0.0, vals, 0.0)
-    out[m] = vals
+    if m == 0:
+        out[m] = math.exp(log_pre)
+    else:
+        # at eta = +-1, log(0) = -inf makes the seed exactly 0
+        with np.errstate(divide="ignore"):
+            out[m] = np.exp(log_pre + 0.5 * m * np.log(s2))
     if l_max == m:
         return out
     # fully-normalized forward recurrence

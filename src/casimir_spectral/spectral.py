@@ -280,7 +280,7 @@ class ModeSpectrum:
 
 def mode_spectrum(config: SystemConfig) -> ModeSpectrum:
     blocks = []
-    for m in range(0, config.m_max + 1):
+    for m in range(config.l_max + 1):
         block = spectral_block(config, m)
         lo = float(block.eigenvalues[0])
         hi = float(block.eigenvalues[-1])

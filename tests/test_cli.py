@@ -16,8 +16,9 @@ truncation.l_max = 40
 """
 
 # Every point of every scenario converges on this grid.  SCENARIO_DIGESTS
-# pins each CSV byte for byte; the digests were recorded before the
-# scenarios moved onto the shared energy_sweep path.
+# pins each CSV byte for byte, keyed by the file name it is written to
+# (fig1 writes one file per substrate); each digest was recorded before the
+# code writing that CSV was last rewritten.
 DIGEST_CFG = """
 geometry.r_major = 1.4
 geometry.r_minor = 1.0
@@ -28,13 +29,54 @@ sweep.aspect_ratio = 0.5:2:3
 truncation.l_max = 40
 """
 SCENARIO_DIGESTS = {
+    "modes": "e57b44f4f23bc3c8b0f7e71e4c207a3fc35522c8f42e5f637c0a670a3bb9be17",
+    "energy_sweep": "7b3a8e16676fcd74c3f824c905a0a4dc9235e0ed9e917129930efcf934235234",
     "exponent": "09c592fc98ee46bd4fdfd1ca7869da1593e5902e91db7c624a70cb417b885ed7",
     "convergence": "f31c484f28b0591f9c7cab5d9453d6566bb1fad33d8311c5cb448cca99885172",
     "pfa_compare": "75b90455dd03546900d4156ddd05b9a70b8fff387b59db185c593a541f9ff2ec",
     "fig2": "ec6033509f6b4e38fa8b2e4de4b2620766c2b24fabb1d38434c6044a7c3292b9",
     "fig3": "406cff5c4557b0585a25cb56677855c18766da1a9d42612b878c29b75257fdac",
     "fig4": "57d2f6e76bb0237664e1d1bf9e398c668a9f0826ab6069c34b9cea726c0fdd60",
+    "fig1_eps_inf": "b53a84abb796049f746d7292bd8443706f99f61a021f07facf9db52c99e57373",
+    "fig1_eps_7p8": "74934abe1d9c7acba74f488a0f21ddcbd1e3c4194ea13f3f54608ea6029b9e89",
+    "fig1_eps_3p12": "823ea18664a96b83d025182002677efb2d421c32962aed39e0f545138c2363aa",
+    "fig1_eps_1p6": "1e6239b940747ff83bca21083fcfa9cdf354d23d2e0a1ebeeec2b2fbe7c87f5e",
 }
+
+# Within l_max = 20 the two smallest gaps of pfa_compare and the oblate
+# 1.8 of fig3 do not converge, so these CSVs pin failed rows next to
+# converged ones.
+FAILING_CFG = """
+geometry.r_major = 2.0
+geometry.r_minor = 1.0
+geometry.family = prolate
+substrate.perfect_conductor = true
+sweep.z_over_rmin = 0.02:1.5:4
+sweep.aspect_ratio = 0.6:1.8:2
+truncation.l_max = 20
+"""
+FAILING_DIGESTS = {
+    "pfa_compare": "d996e4025032665beb145d6a7e23d58ea42b7aefe25f2d37ac85076716dce4a0",
+    "fig3": "7032406240fe8f5d372cd3d61492cdaccd6d048e5ce7cd81d1f7e293ba7d2dfb",
+}
+
+
+def _scenario_of(csv_name):
+    return csv_name.partition("_eps_")[0]
+
+
+def _run_digests(tmp_path, config_text, scenario, strict):
+    """Run scenario into tmp_path; exit code and {file stem: sha256}."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(config_text)
+    out_path = tmp_path / f"{scenario}.csv"
+    args = [scenario, "--config", str(cfg_path), "--output", str(out_path)]
+    code = main(args + ["--strict"] * strict)
+    digests = {
+        path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.glob("*.csv")
+    }
+    return code, digests
 
 
 def _read_rows(path):
@@ -193,15 +235,49 @@ class TestScenarios:
         for a, b in zip(("inf", "7p8", "3p12"), ("7p8", "3p12", "1p6")):
             assert all(x > y for x, y in zip(xi_by_eps[a], xi_by_eps[b]))
 
-    @pytest.mark.parametrize("scenario", sorted(SCENARIO_DIGESTS))
+    @pytest.mark.parametrize(
+        "scenario", sorted({_scenario_of(name) for name in SCENARIO_DIGESTS})
+    )
     def test_scenario_csv_digest(self, tmp_path, scenario):
-        cfg_path = tmp_path / "run.cfg"
-        out_path = tmp_path / f"{scenario}.csv"
-        cfg_path.write_text(DIGEST_CFG)
-        args = [scenario, "--config", str(cfg_path), "--output", str(out_path)]
-        assert main(args + ["--strict"]) == 0
-        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-        assert digest == SCENARIO_DIGESTS[scenario]
+        code, digests = _run_digests(tmp_path, DIGEST_CFG, scenario, strict=True)
+        assert code == 0
+        expected = {
+            name: digest
+            for name, digest in SCENARIO_DIGESTS.items()
+            if _scenario_of(name) == scenario
+        }
+        assert digests == expected
+
+    @pytest.mark.parametrize("scenario", sorted(FAILING_DIGESTS))
+    def test_failed_rows_csv_digest(self, tmp_path, scenario):
+        code, digests = _run_digests(tmp_path, FAILING_CFG, scenario, strict=True)
+        assert code == 2
+        assert digests == {scenario: FAILING_DIGESTS[scenario]}
+        _, _, rows = _read_rows(tmp_path / f"{scenario}.csv")
+        assert {row["converged"] for row in rows} == {"true", "false"}
+
+    def test_figures_honour_ambient_epsilon(self, tmp_path):
+        # fig2's aspect-2 family is the prolate 2/1 over epsilon 3.12
+        grid = (
+            "ambient.epsilon = 1.7\nsweep.z_over_rmin = 0.5:2:3\n"
+            "truncation.l_max = 40\n"
+        )
+        geometry = (
+            "geometry.r_major = 2.0\ngeometry.r_minor = 1.0\n"
+            "geometry.family = prolate\nsubstrate.epsilon = 3.12\n"
+        )
+        columns = []
+        for scenario, text in (("fig2", grid), ("energy_sweep", grid + geometry)):
+            cfg_path = tmp_path / f"{scenario}.cfg"
+            out_path = tmp_path / f"{scenario}.csv"
+            cfg_path.write_text(text)
+            args = [scenario, "--config", str(cfg_path), "--output", str(out_path)]
+            assert main(args + ["--strict"]) == 0
+            _, _, rows = _read_rows(out_path)
+            columns.append([r["xi"] for r in rows if r.get("aspect_ratio", "2") == "2"])
+        fig2_xi, sweep_xi = columns
+        assert len(fig2_xi) == 3
+        assert fig2_xi == sweep_xi
 
     def test_verify_scenario(self, capsys):
         cfg = RunConfig(scenario="verify", parameters={}, output_path="output.csv")

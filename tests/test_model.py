@@ -109,7 +109,6 @@ class TestSystemConfig:
             substrate_medium=Medium.perfect_conductor(),
         )
         assert cfg.f_c == -1.0
-        assert cfg.m_max == cfg.l_max
 
     def test_scaled_config(self):
         cfg = SystemConfig(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,3 +149,15 @@ class TestFerrers:
             for l in range(m, 9):
                 sign = (-1.0) ** (l + m)
                 assert table_n[l, 0] == pytest.approx(sign * table_p[l, 0], rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [1.0, -1.0])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_endpoints(self, m, eta):
+        # Pbar_l^0(+-1) = (+-1)^l sqrt((2l+1)/2); every m > 0 vanishes there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = normalized_ferrers_table(m, 8, [eta])
+        assert np.all(np.isfinite(table))
+        for l in range(m, 9):
+            expected = eta**l * math.sqrt((2 * l + 1) / 2.0) if m == 0 else 0.0
+            assert table[l, 0] == pytest.approx(expected, rel=1e-12, abs=0.0)
