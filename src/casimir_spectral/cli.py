@@ -6,8 +6,8 @@ Usage::
 
 Scenarios: modes, energy_sweep, exponent, pfa_compare, convergence,
 verify, fig1, fig2, fig3, fig4.  Exit codes: 0 ok, 1 usage/parse error,
-2 numerical non-convergence (strict mode) or failed verification,
-3 I/O error.
+2 numerical non-convergence (strict mode), a numerical failure or failed
+verification, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .energy import DEFAULT_L_CAP, DEFAULT_TOLERANCE, energy_sweep
-from .errors import ConfigParseError
+from .errors import CasimirSpectralError, ConfigParseError
 from .model import Family, Medium, PlacedParticle, Spheroid, SystemConfig
-from .pfa import PlatePair, pfa_energy_sphere_plane
+from .pfa import pfa_energy_sphere_plane
 from .spectral import mode_spectrum
 
 _BASE_COLUMNS = ("z_over_rmin", "xi", "beta_local", "l_max_used", "converged")
@@ -77,12 +77,20 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated scenario run: typed parameters plus output path."""
+    """A validated scenario run: typed parameters plus output path.
+
+    Without an output path the CSV scenarios write ``output.csv`` and
+    ``verify`` writes no file.
+    """
 
     scenario: str
     parameters: dict = field(default_factory=dict)
-    output_path: str = "output.csv"
+    output_path: str | None = None
     strict: bool = False
+
+    @property
+    def csv_path(self) -> str:
+        return "output.csv" if self.output_path is None else self.output_path
 
 
 def parse_config(text: str, scenario: str | None = None) -> RunConfig:
@@ -128,7 +136,7 @@ def parse_config(text: str, scenario: str | None = None) -> RunConfig:
     if scenario not in SCENARIOS:
         raise ConfigParseError(f"unknown scenario {scenario!r}")
 
-    output = params.pop("output", "output.csv")
+    output = params.pop("output", None)
     merged = dict(_DEFAULTS)
     merged.update(params)
     _validate(scenario, merged)
@@ -271,14 +279,13 @@ def _run_ladder(
     for label, (sweep, rows) in zip(labels, results):
         betas = iter(sweep.local_exponents())
         records = []
-        for z_rel, row in zip(sorted(grid), rows):
-            config = make_config(label, z_rel)
+        for row in rows:
+            config, sample = row.config, row.sample
             record = dict(
                 label,
                 z_over_rmin=config.particle.gap / config.particle.spheroid.r_minor,
                 converged=False,
             )
-            sample = row.sample
             if sample is not None:
                 record.update(
                     xi=sample.xi,
@@ -293,10 +300,10 @@ def _run_ladder(
     columns = _BASE_COLUMNS + tuple(labels[0]) + tuple(extra)
     every = [record for records in tables for record in records]
     if tag is None:
-        files = [(run.output_path, preamble, every)]
+        files = [(run.csv_path, preamble, every)]
     else:
-        stem = run.output_path.removesuffix(".csv")
-        suffix = run.output_path[len(stem):]
+        stem = run.csv_path.removesuffix(".csv")
+        suffix = run.csv_path[len(stem):]
         files = [
             (f"{stem}_{tag(label)}{suffix}", {**preamble, **label}, records)
             for label, records in zip(labels, tables)
@@ -308,12 +315,7 @@ def _run_ladder(
 
 def _pfa_ratio(config: SystemConfig, sample) -> float:
     """Xi over the PFA energy of the particle's apex curvature above the plate."""
-    gap = config.particle.gap
-    pair = PlatePair(
-        config.particle_medium, config.substrate_medium, config.ambient_epsilon, gap
-    )
-    r_apex = config.particle.spheroid.apex_curvature_radius
-    xi_pfa = pfa_energy_sphere_plane(r_apex, gap, pair)
+    xi_pfa = pfa_energy_sphere_plane(config)
     return sample.xi / xi_pfa if xi_pfa != 0.0 else math.nan
 
 
@@ -329,7 +331,7 @@ def _scenario_modes(run: RunConfig) -> int:
         for i, n in enumerate(np.sort(block.eigenvalues))
     ]
     preamble = {"f_c": cfg.f_c, "z_over_rmin": z / params["geometry.r_minor"]}
-    _write_csv(run.output_path, _preamble(run, preamble), columns, records)
+    _write_csv(run.csv_path, _preamble(run, preamble), columns, records)
     return 0
 
 
@@ -512,7 +514,7 @@ def _scenario_verify(run: RunConfig) -> int:
         lines.append(f"{status}  {name}: deviation {deviation:.3e} (tol {tolerance:g})")
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
-    if run.output_path != "output.csv":
+    if run.output_path is not None:
         with open(run.output_path, "w", encoding="utf-8") as fh:
             fh.write(report)
     return 0 if ok else 2
@@ -540,6 +542,9 @@ def run(config: RunConfig) -> int:
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 3
+    except CasimirSpectralError as exc:
+        sys.stderr.write(f"numerical error: {type(exc).__name__}: {exc}\n")
+        return 2
 
 
 class _Parser(argparse.ArgumentParser):

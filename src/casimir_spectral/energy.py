@@ -11,7 +11,6 @@ sector.  Local power-law exponents are reported against ln(1 + z/r_min).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -43,7 +42,6 @@ class SweepResult:
     """Energy samples over a z-grid plus local power-law exponents."""
 
     samples: tuple
-    fingerprint: str
     label: dict = field(default_factory=dict)
 
     @property
@@ -63,16 +61,6 @@ class SweepResult:
             except UndefinedExponentError:
                 pass
         return beta
-
-
-def _config_fingerprint(config: SystemConfig) -> str:
-    sph = config.particle.spheroid
-    canon = (
-        f"family={sph.family.value};r_major={sph.r_major!r};r_minor={sph.r_minor!r};"
-        f"gap={config.particle.gap!r};sub={config.substrate_medium};"
-        f"amb={config.ambient_epsilon!r};l_max={config.l_max}"
-    )
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def zero_point_energy(config: SystemConfig) -> EnergySample:
@@ -150,9 +138,11 @@ def local_exponent(sweep: SweepResult, index: int) -> float:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One evaluated point in a parameter sweep; error kept in-row."""
+    """One evaluated point in a parameter sweep: the config it was evaluated
+    at, and its sample or, on failure, the error message."""
 
     label: dict
+    config: SystemConfig
     sample: EnergySample | None
     error: str | None = None
 
@@ -165,8 +155,9 @@ def energy_sweep(
     l_cap: int = DEFAULT_L_CAP,
 ) -> list:
     """Evaluate the Cartesian product labels x z-grid with the convergence
-    ladder.  A CasimirSpectralError at a point is recorded in its row and
-    does not abort the sweep; any other exception propagates.
+    ladder, the one loop over gaps.  A CasimirSpectralError at a point is
+    recorded in its row and does not abort the sweep; any other exception
+    propagates.
 
     ``make_config(label, z_over_rmin)`` must return a SystemConfig; it
     receives the grid values as given (no conversion to float).  Output
@@ -180,16 +171,10 @@ def energy_sweep(
             cfg = make_config(label, z_rel)
             try:
                 sample = convergence_ladder(cfg, tolerance=tolerance, l_cap=l_cap)
-                rows.append(SweepRow(label=dict(label), sample=sample))
+                error = None
             except CasimirSpectralError as exc:  # recorded, not raised
-                rows.append(
-                    SweepRow(label=dict(label), sample=None, error=str(exc))
-                )
+                sample, error = None, str(exc)
+            rows.append(SweepRow(dict(label), cfg, sample, error))
         good = tuple(r.sample for r in rows if r.sample is not None)
-        fingerprint = (
-            _config_fingerprint(make_config(label, z_grid[0])) if z_grid else ""
-        )
-        results.append(
-            (SweepResult(samples=good, fingerprint=fingerprint, label=dict(label)), rows)
-        )
+        results.append((SweepResult(samples=good, label=dict(label)), rows))
     return results

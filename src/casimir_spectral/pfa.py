@@ -21,13 +21,12 @@ Retardation (the large-distance z^{-3} force regime) is out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from scipy.integrate import quad
 
 from .errors import ContactError, InvalidMediumError
-from .model import Medium, MediumKind, PlacedParticle, SystemConfig, contrast_fc
-from .energy import convergence_ladder
+from .model import Medium, MediumKind, SystemConfig, contrast_fc
 
 PFA_GAP_WARNING_RATIO = 0.2
 
@@ -131,55 +130,17 @@ def pfa_force(curved: CurvedSurfacePFA, pair: PlatePair) -> PfaForce:
     )
 
 
-def pfa_energy_sphere_plane(R: float, gap: float, f_c_pair: PlatePair) -> float:
-    """PFA interaction energy of a curved apex (radius R) above a plate, in
-    units of hbar*omega_p: integral of the PFA force from infinity to the
-    gap, = 2 pi R z V(z) for the z^{-2} plate law."""
-    pair = PlatePair(f_c_pair.metal, f_c_pair.substrate, f_c_pair.ambient_epsilon, gap)
-    return 2.0 * math.pi * R * gap * plate_energy_per_area(pair)
+def pfa_energy_sphere_plane(config: SystemConfig) -> float:
+    """PFA interaction energy of the particle's apex curvature above the
+    substrate, in units of hbar*omega_p: integral of the PFA force from
+    infinity to the gap, = 2 pi R z V(z) for the z^{-2} plate law.
 
-
-@dataclass(frozen=True)
-class PfaComparisonRow:
-    z: float
-    z_over_rmin: float
-    xi_exact: float
-    xi_pfa: float
-    ratio: float
-    l_max_used: int
-    apex_radius: float
-
-
-def pfa_vs_spectral_report(config: SystemConfig, z_grid) -> list:
-    """Exact spectral energy vs the apex-curvature PFA estimate per gap.
-
-    The PFA maps the spheroid to its apex radius of curvature
-    (prolate: r_minor^2/r_major, oblate: r_major^2/r_minor).  A gap whose
-    ladder does not converge raises.
+    R is the particle's apex radius of curvature.  A particle that is not
+    a Drude metal raises InvalidMediumError.
     """
-    rows = []
-    sph = config.particle.spheroid
-    R_apex = sph.apex_curvature_radius
-    pair_template = PlatePair(
-        metal=config.particle_medium
-        if config.particle_medium.kind is MediumKind.DRUDE
-        else Medium.drude(1.0),
-        substrate=config.substrate_medium,
-        ambient_epsilon=config.ambient_epsilon,
-        gap=1.0,
+    R = config.particle.spheroid.apex_curvature_radius
+    gap = config.particle.gap
+    pair = PlatePair(
+        config.particle_medium, config.substrate_medium, config.ambient_epsilon, gap
     )
-    for z in sorted(float(v) for v in z_grid):
-        sample = convergence_ladder(replace(config, particle=PlacedParticle(sph, z)))
-        xi_pfa = pfa_energy_sphere_plane(R_apex, z, pair_template)
-        rows.append(
-            PfaComparisonRow(
-                z=z,
-                z_over_rmin=z / sph.r_minor,
-                xi_exact=sample.xi,
-                xi_pfa=xi_pfa,
-                ratio=sample.xi / xi_pfa if xi_pfa != 0.0 else math.nan,
-                l_max_used=sample.l_max_used,
-                apex_radius=R_apex,
-            )
-        )
-    return rows
+    return 2.0 * math.pi * R * gap * plate_energy_per_area(pair)

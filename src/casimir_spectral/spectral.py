@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -66,32 +67,47 @@ def _radial_table(sigma: float, m: int, l_max: int, coord):
     return table(m, l_max, coord)
 
 
-def _wronskian_const(sigma: float, m: int, coord0: float) -> float:
-    return -((-1.0) ** m) / (coord0 * coord0 - sigma)
+@lru_cache(maxsize=None)
+def _quad_nodes(n_quad: int):
+    """Read-only Gauss-Legendre nodes and weights of degree n_quad."""
+    eta, gw = leggauss(n_quad)
+    eta.flags.writeable = gw.flags.writeable = False
+    return eta, gw
+
+
+@lru_cache(maxsize=1)
+def _surface_table(spheroid: Spheroid, m: int, l_max: int):
+    """Read-only n_iso, signed normalization weights c and nP at the
+    surface xi0 of a spheroid, l = 0..l_max; one radial table per sector
+    serves both isolated_depolarization_table and _spheroid_coupling."""
+    sigma = _SIGMA[spheroid.family]
+    x0 = spheroid_xi0(spheroid)
+    nP, ndP, nQ, _ = _radial_table(sigma, m, l_max, np.array([x0]))
+    T = -((-1.0) ** m) / (x0 * x0 - sigma)  # Wronskian constant
+    n_iso = -ndP[:, 0] * nQ[:, 0] / T
+    n_iso[:m] = 0.0
+    c = -nP[:, 0] * ndP[:, 0] / T
+    nP0 = nP[:, 0]
+    for table in (n_iso, c, nP0):
+        table.flags.writeable = False
+    return n_iso, c, nP0
 
 
 def isolated_depolarization_table(spheroid: Spheroid, m: int, l_max: int) -> np.ndarray:
-    """n_lm(infinity) for l = m..l_max (entries below l=m are zero)."""
+    """n_lm(infinity) for l = m..l_max (entries below l=m are zero).
+    A spheroid's table is read-only."""
     if spheroid.family is Family.SPHERE:
         l = np.arange(l_max + 1, dtype=float)
         out = np.where(l >= 1, l / (2.0 * l + 1.0), 0.0)
         out[:m] = 0.0
         return out
-    sigma = _SIGMA[spheroid.family]
-    x0 = spheroid_xi0(spheroid)
-    nP, ndP, nQ, ndQ = _radial_table(sigma, m, l_max, np.array([x0]))
-    T = _wronskian_const(sigma, m, x0)
-    out = -ndP[:, 0] * nQ[:, 0] / T
-    out[:m] = 0.0
-    return out
+    return _surface_table(spheroid, m, l_max)[0]
 
 
 def isolated_depolarization(spheroid: Spheroid, l: int, m: int) -> float:
     """Depolarization factor of the isolated particle for multipole (l, m)."""
     if l < 1 or m < 0 or m > l:
         raise SpecFunDomainError(f"need 1 <= l and 0 <= m <= l, got l={l}, m={m}")
-    if spheroid.family is Family.SPHERE:
-        return l / (2.0 * l + 1.0)
     return float(isolated_depolarization_table(spheroid, m, l)[l])
 
 
@@ -144,9 +160,7 @@ def _spheroid_coupling(particle: PlacedParticle, m: int, l_max: int) -> np.ndarr
     d = particle.center_height
     l_min = max(1, m)
 
-    nP0, ndP0, nQ0, ndQ0 = _radial_table(sigma, m, l_max, np.array([x0]))
-    T = _wronskian_const(sigma, m, x0)
-    c = -nP0[:, 0] * ndP0[:, 0] / T  # signed normalization weights
+    _, c, nP0 = _surface_table(sph, m, l_max)
     c_block = c[l_min:]
     sign = -1.0 if m % 2 else 1.0
     if np.any(sign * c_block <= 0.0):
@@ -156,8 +170,7 @@ def _spheroid_coupling(particle: PlacedParticle, m: int, l_max: int) -> np.ndarr
     w_amp = np.sqrt(np.abs(c_block))
 
     # quadrature on the particle surface, eta in [-1, 1]
-    n_quad = 2 * l_max + 64
-    eta, gw = leggauss(n_quad)
+    eta, gw = _quad_nodes(2 * l_max + 64)
     z_s = F * x0 * eta
     rho = F * np.sqrt(np.maximum((x0 * x0 - sigma) * (1.0 - eta * eta), 0.0))
 
@@ -172,7 +185,7 @@ def _spheroid_coupling(particle: PlacedParticle, m: int, l_max: int) -> np.ndarr
 
     Pbar_s = normalized_ferrers_table(m, l_max, eta)[l_min:]
     proj = (Pbar_s * gw) @ psi.T  # proj[n, s] = int Pbar_n psi_s d(eta)
-    K = proj / nP0[l_min:, 0][:, None]
+    K = proj / nP0[l_min:, None]
 
     D = sign * (w_amp[:, None] * K * w_amp[None, :])
     asym = np.max(np.abs(D - D.T)) / max(np.max(np.abs(D)), 1e-300)

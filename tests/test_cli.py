@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from casimir_spectral import cli
 from casimir_spectral.cli import RunConfig, main, parse_config, run
 from casimir_spectral.errors import ConfigParseError
 
@@ -279,9 +280,41 @@ class TestScenarios:
         assert len(fig2_xi) == 3
         assert fig2_xi == sweep_xi
 
-    def test_verify_scenario(self, capsys):
-        cfg = RunConfig(scenario="verify", parameters={}, output_path="output.csv")
-        assert run(cfg) == 0
+    def test_verify_scenario(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(RunConfig(scenario="verify")) == 0
         out = capsys.readouterr().out
         assert "pass" in out
         assert "FAIL" not in out
+        assert list(tmp_path.iterdir()) == []  # no output path, no file
+
+    def test_verify_writes_given_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        args = ["verify", "--config", "/dev/null", "--output", "output.csv"]
+        assert main(args) == 0
+        assert (tmp_path / "output.csv").read_text() == capsys.readouterr().out
+
+    def test_numerical_failure_exit(self, tmp_path, capsys):
+        # a nearly spherical prolate overflows the radial tables at l = 90
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(
+            "geometry.r_major = 1.000000005\ngeometry.r_minor = 1\n"
+            "geometry.family = prolate\nsubstrate.epsilon = 3.12\n"
+            "truncation.l_max = 90\n"
+        )
+        out_path = tmp_path / "modes.csv"
+        args = ["modes", "--config", str(cfg_path), "--output", str(out_path)]
+        assert main(args) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical error: SpecFunOverflowError")
+
+    def test_programming_error_raises(self, tmp_path, monkeypatch):
+        def broken(config):
+            raise TypeError("not a package error")
+
+        monkeypatch.setattr(cli, "mode_spectrum", broken)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SPHERE_CFG)
+        out_path = tmp_path / "modes.csv"
+        with pytest.raises(TypeError):
+            main(["modes", "--config", str(cfg_path), "--output", str(out_path)])

@@ -121,7 +121,7 @@ class TestSweep:
                          converged=True, rel_change_last_step=0.0)
             for z in (1.0, 2.0, 3.0)
         )
-        sweep = SweepResult(samples=samples, fingerprint="", label={})
+        sweep = SweepResult(samples=samples, label={})
         with pytest.raises(UndefinedExponentError):
             local_exponent(sweep, 1)
 

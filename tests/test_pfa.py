@@ -1,9 +1,10 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from casimir_spectral.energy import convergence_ladder
+from casimir_spectral.errors import InvalidMediumError
 from casimir_spectral.model import Medium, PlacedParticle, Spheroid, SystemConfig
 from casimir_spectral.pfa import (
     CurvedSurfacePFA,
@@ -11,7 +12,6 @@ from casimir_spectral.pfa import (
     mode_integral,
     pfa_energy_sphere_plane,
     pfa_force,
-    pfa_vs_spectral_report,
     plate_energy_per_area,
     plate_mode_omega,
 )
@@ -79,7 +79,20 @@ class TestCurvedPfa:
         assert not CurvedSurfacePFA(R1=1.0, R2=math.inf, gap=0.01).pfa_questionable
 
     def test_energy_sphere_plane_sign(self):
-        assert pfa_energy_sphere_plane(1.0, 0.2, _pair(0.2)) < 0.0
+        cfg = SystemConfig(
+            particle=PlacedParticle(Spheroid.sphere(1.0), gap=0.2),
+            substrate_medium=Medium.perfect_conductor(),
+        )
+        assert pfa_energy_sphere_plane(cfg) < 0.0
+
+    def test_energy_sphere_plane_needs_drude_particle(self):
+        cfg = SystemConfig(
+            particle=PlacedParticle(Spheroid.sphere(1.0), gap=0.2),
+            substrate_medium=Medium.perfect_conductor(),
+            particle_medium=Medium.constant(2.0),
+        )
+        with pytest.raises(InvalidMediumError):
+            pfa_energy_sphere_plane(cfg)
 
 
 class TestReport:
@@ -92,15 +105,15 @@ class TestReport:
             fam_b.apex_curvature_radius
         )
         z = 0.4
-        rows = {}
+        xi_exact, xi_pfa = {}, {}
         for key, spheroid in (("a", fam_a), ("b", fam_b)):
             cfg = SystemConfig(
                 particle=PlacedParticle(spheroid, gap=z),
                 substrate_medium=sub,
                 l_max=60,
             )
-            (row,) = pfa_vs_spectral_report(cfg, [z])
-            rows[key] = row
-        assert rows["a"].xi_pfa == pytest.approx(rows["b"].xi_pfa, rel=1e-12)
-        diff = abs(rows["a"].xi_exact - rows["b"].xi_exact)
-        assert diff > 1e-3 * max(abs(rows["a"].xi_exact), abs(rows["b"].xi_exact))
+            xi_exact[key] = convergence_ladder(cfg).xi
+            xi_pfa[key] = pfa_energy_sphere_plane(cfg)
+        assert xi_pfa["a"] == pytest.approx(xi_pfa["b"], rel=1e-12)
+        diff = abs(xi_exact["a"] - xi_exact["b"])
+        assert diff > 1e-3 * max(abs(xi_exact["a"]), abs(xi_exact["b"]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casimir_spectral import spectral
 from casimir_spectral.errors import PoleError
 from casimir_spectral.model import (
     Medium,
@@ -142,6 +143,31 @@ class TestSpectralBlocks:
             for m in (0, 1):
                 H = spectral_block(cfg, m).H
                 assert np.allclose(H, H.T, atol=1e-10)
+
+    def test_one_surface_table_per_sector(self, monkeypatch):
+        # the quadrature nodes are built once per degree, and each spheroid
+        # sector builds one radial table at the surface and one at the mirror
+        calls = {"leggauss": 0, "prolate_radial_table": 0}
+
+        def counting(name):
+            original = getattr(spectral, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(spectral, name, wrapper)
+
+        counting("leggauss")
+        counting("prolate_radial_table")
+        spectral._quad_nodes.cache_clear()
+        spectral._surface_table.cache_clear()
+        cfg = _config(Spheroid.prolate(2.0, 1.0), 0.5, Medium.constant(3.12), l_max=10)
+        mode_spectrum(cfg)
+        assert calls == {"leggauss": 1, "prolate_radial_table": 22}
+        # the cached tables cannot be changed by a caller
+        table = isolated_depolarization_table(cfg.particle.spheroid, 10, 10)
+        assert not table.flags.writeable
 
     def test_mode_frequencies_drude(self):
         cfg = _config(Spheroid.sphere(1.0), 2.0, Medium.perfect_conductor(), l_max=8)
