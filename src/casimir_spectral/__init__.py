@@ -27,7 +27,6 @@ from .spectral import (
     coupling_matrix_D,
     effective_polarizability,
     isolated_depolarization,
-    mode_frequencies,
     mode_spectrum,
     spectral_block,
 )
@@ -46,7 +45,6 @@ from .pfa import (
     pfa_energy_sphere_plane,
     pfa_force,
     plate_energy_per_area,
-    plate_mode_omega,
 )
 
 __all__ = [
@@ -69,7 +67,6 @@ __all__ = [
     "coupling_matrix_D",
     "effective_polarizability",
     "isolated_depolarization",
-    "mode_frequencies",
     "mode_spectrum",
     "spectral_block",
     "EnergySample",
@@ -84,5 +81,4 @@ __all__ = [
     "pfa_energy_sphere_plane",
     "pfa_force",
     "plate_energy_per_area",
-    "plate_mode_omega",
 ]

@@ -28,6 +28,10 @@ class SpecFunDomainError(CasimirSpectralError, ValueError):
 class SpecFunOverflowError(CasimirSpectralError, OverflowError):
     """Function values exceed double range; reduce l_max or change branch."""
 
+    def __init__(self, message, m=None):
+        super().__init__(message)
+        self.m = m  # azimuthal order of the failing table, when known
+
 
 class UnphysicalModeError(CasimirSpectralError, ValueError):
     """An eigenvalue left (0, 1): truncation too small or near-contact geometry."""

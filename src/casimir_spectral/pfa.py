@@ -28,9 +28,6 @@ from scipy.integrate import quad
 from .errors import ContactError, InvalidMediumError
 from .model import Medium, MediumKind, SystemConfig, contrast_fc
 
-PFA_GAP_WARNING_RATIO = 0.2
-
-
 @dataclass(frozen=True)
 class PlatePair:
     """A Drude metal half-space facing a static substrate across a gap."""
@@ -74,20 +71,6 @@ class CurvedSurfacePFA:
             return self.R1
         return self.R1 * self.R2 / (self.R1 + self.R2)
 
-    @property
-    def pfa_questionable(self) -> bool:
-        return self.gap / min(self.R1, self.R2) > PFA_GAP_WARNING_RATIO
-
-
-def plate_mode_omega(k: float, pair: PlatePair) -> float:
-    """Coupled surface-plasmon dispersion omega(k, z); omega_p/sqrt(2) at
-    k -> infinity."""
-    if k < 0.0:
-        raise ValueError("wavenumber must be >= 0")
-    arg = 1.0 + pair.f_c * math.exp(-2.0 * k * pair.gap)
-    assert arg >= 0.0, "cannot occur for f_c in [-1, 1)"
-    return pair.metal.omega_p * math.sqrt(0.5 * arg)
-
 
 def mode_integral(f_c: float) -> float:
     """I(f_c) = int_0^inf u (sqrt(1 + f_c e^{-2u}) - 1) du; I(0) = 0,
@@ -116,7 +99,6 @@ def plate_energy_per_area(pair: PlatePair) -> float:
 @dataclass(frozen=True)
 class PfaForce:
     force: float
-    questionable: bool
 
 
 def pfa_force(curved: CurvedSurfacePFA, pair: PlatePair) -> PfaForce:
@@ -124,10 +106,7 @@ def pfa_force(curved: CurvedSurfacePFA, pair: PlatePair) -> PfaForce:
     V = plate_energy_per_area(
         PlatePair(pair.metal, pair.substrate, pair.ambient_epsilon, curved.gap)
     )
-    return PfaForce(
-        force=2.0 * math.pi * curved.effective_radius * V,
-        questionable=curved.pfa_questionable,
-    )
+    return PfaForce(force=2.0 * math.pi * curved.effective_radius * V)
 
 
 def pfa_energy_sphere_plane(config: SystemConfig) -> float:

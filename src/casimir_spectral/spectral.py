@@ -29,12 +29,14 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
+from scipy.special import gammaln
 
 from .errors import (
     ContactError,
     ContractViolationError,
     PoleError,
     SpecFunDomainError,
+    SpecFunOverflowError,
     UnphysicalModeError,
 )
 from .model import (
@@ -47,24 +49,45 @@ from .model import (
     spheroid_xi0,
 )
 from .specfun import (
-    log_factorial,
     normalized_ferrers_table,
     oblate_radial_table,
     prolate_radial_table,
 )
 
 _SYM_TOL = 1e-9
+# cells (l, point) summed over the sectors of one block of mirror tables:
+# bounds the memory a block holds while keeping its l loops few
+_BLOCK_CELLS = 1 << 15
 
 
 # continuation sign of each spheroidal family: w = x^2 - sigma
 _SIGMA = {Family.PROLATE: 1.0, Family.OBLATE: -1.0}
 
 
-def _radial_table(sigma: float, m: int, l_max: int, coord):
+def _radial_rows(sigma: float, ms: range, l_max: int, coord, derivatives: bool):
+    """(ms', tables) for the longest leading part ms' of the orders ms whose
+    radial tables build.  Only a failure at ms.start raises, so a failing
+    sector raises when the sector loop reaches it, after every check of the
+    sectors before it, as if each sector built its own table."""
     # resolved through the module globals at call time, so a wrapper put
     # on either name (the benchmark trace does this) sees every call
     table = prolate_radial_table if sigma > 0 else oblate_radial_table
-    return table(m, l_max, coord)
+    try:
+        return ms, table(ms, l_max, coord, derivatives=derivatives)
+    except SpecFunOverflowError as err:
+        if err.m == ms.start:
+            raise
+        ms = range(ms.start, err.m)
+        return ms, table(ms, l_max, coord, derivatives=derivatives)
+
+
+def _block_row(build, key, start: int, m: int):
+    """Sector m's tables from the cached block build(*key, start), or from a
+    block built from m when that block stopped at a failing sector below m."""
+    ms, tables = build(*key, start)
+    if m not in ms:
+        ms, tables = build(*key, m)
+    return tuple(t[m - ms.start] for t in tables)
 
 
 @lru_cache(maxsize=None)
@@ -75,22 +98,37 @@ def _quad_nodes(n_quad: int):
     return eta, gw
 
 
+def _read_only(*tables):
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 @lru_cache(maxsize=1)
-def _surface_table(spheroid: Spheroid, m: int, l_max: int):
+def _surface_block(spheroid: Spheroid, l_max: int, start: int):
     """Read-only n_iso, signed normalization weights c and nP at the
-    surface xi0 of a spheroid, l = 0..l_max; one radial table per sector
-    serves both isolated_depolarization_table and _spheroid_coupling."""
+    surface xi0 of a spheroid, l = 0..l_max, for the sectors from start
+    (0 unless a sector below failed) up to l_max, from one one-point radial
+    call; they serve both isolated_depolarization_table and
+    _spheroid_coupling."""
     sigma = _SIGMA[spheroid.family]
     x0 = spheroid_xi0(spheroid)
-    nP, ndP, nQ, _ = _radial_table(sigma, m, l_max, np.array([x0]))
-    T = -((-1.0) ** m) / (x0 * x0 - sigma)  # Wronskian constant
-    n_iso = -ndP[:, 0] * nQ[:, 0] / T
-    n_iso[:m] = 0.0
-    c = -nP[:, 0] * ndP[:, 0] / T
-    nP0 = nP[:, 0]
-    for table in (n_iso, c, nP0):
-        table.flags.writeable = False
-    return n_iso, c, nP0
+    ms, (nP, ndP, nQ, _) = _radial_rows(
+        sigma, range(start, l_max + 1), l_max, np.array([x0]), True
+    )
+    nP, ndP, nQ = nP[..., 0], ndP[..., 0], nQ[..., 0]
+    signs = np.array([-((-1.0) ** m) for m in ms])
+    T = (signs / (x0 * x0 - sigma))[:, None]  # Wronskian constant
+    with np.errstate(over="ignore"):  # a non-finite D raises in _spheroid_coupling
+        n_iso = -ndP * nQ / T
+        c = -nP * ndP / T
+    n_iso[np.arange(l_max + 1) < np.array(ms)[:, None]] = 0.0  # l < m
+    return ms, _read_only(n_iso, c, nP)
+
+
+def _surface_table(spheroid: Spheroid, m: int, l_max: int):
+    """n_iso, c and nP0 of sector m, from the rung's surface block."""
+    return _block_row(_surface_block, (spheroid, l_max), 0, m)
 
 
 def isolated_depolarization_table(spheroid: Spheroid, m: int, l_max: int) -> np.ndarray:
@@ -124,20 +162,17 @@ def _sphere_coupling(a: float, d: float, m: int, l_max: int) -> np.ndarray:
     """
     l_min = max(1, m)
     ls = np.arange(l_min, l_max + 1)
-    n = ls.size
     log_ratio = math.log(a / (2.0 * d))
+    lf = gammaln(np.arange(2 * l_max + 2) + 1.0)  # lf[n] = log_factorial(n)
     half = np.array(
-        [0.5 * (math.log(l / (2.0 * l + 1.0)) - log_factorial(l + m) - log_factorial(l - m))
-         for l in ls]
+        [0.5 * (math.log(l / (2.0 * l + 1.0)) - lf[l + m] - lf[l - m]) for l in ls]
     )
-    D = np.empty((n, n))
-    for i, l in enumerate(ls):
-        for j, s in enumerate(ls[: i + 1]):
-            val = math.exp(
-                half[i] + half[j] + log_factorial(l + s) + (l + s + 1) * log_ratio
-            )
-            D[i, j] = D[j, i] = val
-    return D
+    lps = ls[:, None] + ls[None, :]  # l + s
+    exponent = half[:, None] + half[None, :] + lf[lps] + (lps + 1) * log_ratio
+    # math.exp per entry: np.exp differs from it in the last bit
+    return np.fromiter(
+        map(math.exp, exponent.ravel().tolist()), float, exponent.size
+    ).reshape(exponent.shape)
 
 
 def _invert(rho, z, F, sigma):
@@ -151,16 +186,44 @@ def _invert(rho, z, F, sigma):
     return xi, np.clip(eta, -1.0, 1.0)
 
 
-def _spheroid_coupling(particle: PlacedParticle, m: int, l_max: int) -> np.ndarray:
-    """Image coupling matrix for a spheroid by direct mirror projection."""
+def _block_size(l_max: int) -> int:
+    """Sectors per mirror block; a sector's tables have up to l_max + 2
+    rows over the 2 l_max + 64 Gauss nodes."""
+    return max(1, _BLOCK_CELLS // ((l_max + 2) * (2 * l_max + 64)))
+
+
+@lru_cache(maxsize=1)
+def _mirror_block(particle: PlacedParticle, l_max: int, start: int):
+    """What _spheroid_coupling needs of the sectors of one block from start:
+    the reflected harmonics psi = nQ(xi_m) Pbar(eta_m) at the mirror points
+    (xi_m, eta_m) of the Gauss nodes eta, which do not depend on m, and the
+    Gauss-weighted Ferrers table Pbar(eta) gw at the nodes."""
     sph = particle.spheroid
     sigma = _SIGMA[sph.family]
     F = sph.focal_scale
     x0 = spheroid_xi0(sph)
-    d = particle.center_height
-    l_min = max(1, m)
+    eta, gw = _quad_nodes(2 * l_max + 64)
+    z_s = F * x0 * eta
+    rho = F * np.sqrt(np.maximum((x0 * x0 - sigma) * (1.0 - eta * eta), 0.0))
+    # mirror of the surface point through the substrate plane, in the
+    # particle-centered frame: z -> -(2d) - z
+    z_m = -2.0 * particle.center_height - z_s
+    xi_m, eta_m = _invert(rho, z_m, F, sigma)
 
-    _, c, nP0 = _surface_table(sph, m, l_max)
+    stop = min(start + _block_size(l_max), l_max + 1)
+    ms, (_, _, nQ_m, _) = _radial_rows(sigma, range(start, stop), l_max, xi_m, False)
+    psi = normalized_ferrers_table(ms, l_max, eta_m)
+    psi *= nQ_m
+    del nQ_m  # free the Q tables before the next Ferrers table is built
+    weighted = normalized_ferrers_table(ms, l_max, eta)
+    weighted *= gw
+    return ms, _read_only(psi, weighted)
+
+
+def _spheroid_coupling(particle: PlacedParticle, m: int, l_max: int) -> np.ndarray:
+    """Image coupling matrix for a spheroid by direct mirror projection."""
+    l_min = max(1, m)
+    _, c, nP0 = _surface_table(particle.spheroid, m, l_max)
     c_block = c[l_min:]
     sign = -1.0 if m % 2 else 1.0
     if np.any(sign * c_block <= 0.0):
@@ -169,29 +232,18 @@ def _spheroid_coupling(particle: PlacedParticle, m: int, l_max: int) -> np.ndarr
         )
     w_amp = np.sqrt(np.abs(c_block))
 
-    # quadrature on the particle surface, eta in [-1, 1]
-    eta, gw = _quad_nodes(2 * l_max + 64)
-    z_s = F * x0 * eta
-    rho = F * np.sqrt(np.maximum((x0 * x0 - sigma) * (1.0 - eta * eta), 0.0))
-
-    # mirror of the surface point through the substrate plane, in the
-    # particle-centered frame: z -> -(2d) - z
-    z_m = -2.0 * d - z_s
-    xi_m, eta_m = _invert(rho, z_m, F, sigma)
-
-    _, _, nQ_m, _ = _radial_table(sigma, m, l_max, xi_m)
-    Pbar_m = normalized_ferrers_table(m, l_max, eta_m)
-    psi = nQ_m[l_min:] * Pbar_m[l_min:]  # (n_l, n_quad): reflected harmonics
-
-    Pbar_s = normalized_ferrers_table(m, l_max, eta)[l_min:]
-    proj = (Pbar_s * gw) @ psi.T  # proj[n, s] = int Pbar_n psi_s d(eta)
+    start = m - m % _block_size(l_max)
+    psi, weighted = _block_row(_mirror_block, (particle, l_max), start, m)
+    # proj[n, s] = int Pbar_n psi_s d(eta)
+    proj = weighted[l_min:] @ psi[l_min:].T
     K = proj / nP0[l_min:, None]
 
-    D = sign * (w_amp[:, None] * K * w_amp[None, :])
-    asym = np.max(np.abs(D - D.T)) / max(np.max(np.abs(D)), 1e-300)
-    if asym > 1e-6:
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = sign * (w_amp[:, None] * K * w_amp[None, :])
+        asym = np.max(np.abs(D - D.T)) / max(np.max(np.abs(D)), 1e-300)
+    if not asym <= 1e-6:  # NaN, from a non-finite D, fails too
         raise ContractViolationError(
-            f"spheroid coupling matrix asymmetric beyond tolerance: {asym:.2e}"
+            f"spheroid coupling matrix not finite or asymmetric beyond tolerance: {asym:.2e}"
         )
     return 0.5 * (D + D.T)
 
@@ -242,8 +294,8 @@ def eigendecompose(H: np.ndarray):
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ContractViolationError("H must be a square matrix")
     scale = max(np.max(np.abs(H)), 1e-300)
-    if np.max(np.abs(H - H.T)) > _SYM_TOL * scale:
-        raise ContractViolationError("H is not symmetric within tolerance")
+    if not np.max(np.abs(H - H.T)) <= _SYM_TOL * scale:  # NaN fails too
+        raise ContractViolationError("H is not finite and symmetric within tolerance")
     vals, vecs = eigh(0.5 * (H + H.T))
     return vals, vecs, vecs**2
 
@@ -304,17 +356,6 @@ def mode_spectrum(config: SystemConfig) -> ModeSpectrum:
             )
         blocks.append(block)
     return ModeSpectrum(blocks=tuple(blocks))
-
-
-def mode_frequencies(block: SpectralBlock, omega_p: float) -> np.ndarray:
-    """omega_s = omega_p sqrt(n_s), ascending."""
-    n = block.eigenvalues
-    if np.any(n <= 0.0) or np.any(n >= 1.0):
-        raise UnphysicalModeError(
-            f"eigenvalues outside (0,1) in sector m={block.m}: cannot form "
-            "mode frequencies"
-        )
-    return omega_p * np.sqrt(n)
 
 
 def effective_polarizability(config: SystemConfig, omega: float, l: int, m: int) -> float:

@@ -13,7 +13,6 @@ from casimir_spectral.pfa import (
     pfa_energy_sphere_plane,
     pfa_force,
     plate_energy_per_area,
-    plate_mode_omega,
 )
 
 
@@ -27,15 +26,6 @@ def _pair(gap=1.0, substrate=None):
 
 
 class TestPlateModes:
-    def test_large_k_limit(self):
-        # far from the substrate the mode reverts to omega_p / sqrt(2)
-        pair = _pair()
-        assert plate_mode_omega(50.0, pair) == pytest.approx(1.0 / math.sqrt(2.0))
-
-    def test_conductor_softens_mode(self):
-        pair = _pair()
-        assert plate_mode_omega(0.5, pair) < 1.0 / math.sqrt(2.0)
-
     def test_mode_integral_small_contrast(self):
         for f_c in (0.01, -0.01):
             assert mode_integral(f_c) == pytest.approx(f_c / 8.0, rel=0.01)
@@ -73,10 +63,6 @@ class TestCurvedPfa:
         b = CurvedSurfacePFA(R1=3.0, R2=1.0, gap=0.1)
         assert a.effective_radius == pytest.approx(b.effective_radius)
         assert a.effective_radius == pytest.approx(0.75)
-
-    def test_questionable_flag(self):
-        assert CurvedSurfacePFA(R1=1.0, R2=math.inf, gap=0.5).pfa_questionable
-        assert not CurvedSurfacePFA(R1=1.0, R2=math.inf, gap=0.01).pfa_questionable
 
     def test_energy_sphere_plane_sign(self):
         cfg = SystemConfig(

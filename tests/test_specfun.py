@@ -101,8 +101,61 @@ class TestProlateRadial:
         "table", [prolate_radial_table, oblate_radial_table], ids=["prolate", "oblate"]
     )
     def test_overflow_raises(self, table):
-        with pytest.raises(SpecFunOverflowError):
-            table(0, 90, np.array([1e4]))
+        # the kernel's own finiteness check raises, without numpy warnings first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecFunOverflowError):
+                table(0, 90, np.array([1e4]))
+
+
+class TestBatchedTables:
+    """A range of orders gives the stack of the one-order tables, bit for bit."""
+
+    @pytest.mark.parametrize("l_max", [1, 5, 30])
+    @pytest.mark.parametrize(
+        "table, coord",
+        [(prolate_radial_table, [1.0005, 1.3, 4.0]), (oblate_radial_table, [0.02, 0.7, 3.0])],
+        ids=["prolate", "oblate"],
+    )
+    def test_radial_rows_equal_one_order_calls(self, table, coord, l_max):
+        full = table(range(l_max + 1), l_max, coord)
+        upper = table(range(l_max // 2, l_max + 1), l_max, coord)
+        no_derivatives = table(range(l_max + 1), l_max, coord, derivatives=False)
+        for m in (0, l_max // 2, l_max):
+            single = table(m, l_max, coord)
+            for k, t in enumerate(single):
+                assert np.array_equal(full[k][m], t)
+                if m >= l_max // 2:
+                    assert np.array_equal(upper[k][m - l_max // 2], t)
+        assert no_derivatives[1] is None and no_derivatives[3] is None
+        assert np.array_equal(no_derivatives[0], full[0])
+        assert np.array_equal(no_derivatives[2], full[2])
+
+    @pytest.mark.parametrize("l_max", [1, 5, 30])
+    def test_ferrers_rows_equal_one_order_calls(self, l_max):
+        eta = np.array([-1.0, -0.4, 0.0, 0.9, 1.0])
+        full = normalized_ferrers_table(range(l_max + 1), l_max, eta)
+        for m in (0, l_max // 2, l_max):
+            assert np.array_equal(full[m], normalized_ferrers_table(m, l_max, eta))
+
+    def test_overflow_names_lowest_failing_order(self):
+        # near x = 1 the tables of the higher orders fail at l_max = 90
+        x = [1.0 + 1e-9]
+        with pytest.raises(SpecFunOverflowError) as batched:
+            prolate_radial_table(range(91), 90, x)
+        m = batched.value.m
+        assert m > 0
+        prolate_radial_table(m - 1, 90, x)
+        with pytest.raises(SpecFunOverflowError) as single:
+            prolate_radial_table(m, 90, x)
+        assert str(single.value) == str(batched.value)
+
+    @pytest.mark.parametrize("orders", [range(0), range(0, 4, 2), range(3, 7)])
+    def test_bad_ranges(self, orders):
+        with pytest.raises(SpecFunDomainError):
+            prolate_radial_table(orders, 5, [2.0])
+        with pytest.raises(SpecFunDomainError):
+            normalized_ferrers_table(orders, 5, [0.5])
 
 
 class TestOblateRadial:

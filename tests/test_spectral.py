@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casimir_spectral import spectral
-from casimir_spectral.errors import PoleError
+from casimir_spectral.energy import zero_point_energy
+from casimir_spectral.errors import (
+    CasimirSpectralError,
+    ContractViolationError,
+    PoleError,
+    SpecFunOverflowError,
+)
 from casimir_spectral.model import (
     Medium,
     PlacedParticle,
@@ -17,10 +23,10 @@ from casimir_spectral.spectral import (
     effective_polarizability,
     isolated_depolarization,
     isolated_depolarization_table,
-    mode_frequencies,
     mode_spectrum,
     spectral_block,
 )
+from casimir_spectral.specfun import log_factorial
 
 
 def _config(spheroid, gap, substrate, l_max=20):
@@ -145,35 +151,86 @@ class TestSpectralBlocks:
                 assert np.allclose(H, H.T, atol=1e-10)
 
     def test_one_surface_table_per_sector(self, monkeypatch):
-        # the quadrature nodes are built once per degree, and each spheroid
-        # sector builds one radial table at the surface and one at the mirror
+        # the quadrature nodes are built once per degree, and a rung builds
+        # one one-point radial table at the surface for all its sectors and
+        # one at the mirror points per block of sectors
         calls = {"leggauss": 0, "prolate_radial_table": 0}
 
         def counting(name):
             original = getattr(spectral, name)
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return original(*args)
+                return original(*args, **kwargs)
 
             monkeypatch.setattr(spectral, name, wrapper)
 
         counting("leggauss")
         counting("prolate_radial_table")
         spectral._quad_nodes.cache_clear()
-        spectral._surface_table.cache_clear()
+        spectral._surface_block.cache_clear()
+        spectral._mirror_block.cache_clear()
         cfg = _config(Spheroid.prolate(2.0, 1.0), 0.5, Medium.constant(3.12), l_max=10)
         mode_spectrum(cfg)
-        assert calls == {"leggauss": 1, "prolate_radial_table": 22}
+        assert calls == {"leggauss": 1, "prolate_radial_table": 2}
         # the cached tables cannot be changed by a caller
         table = isolated_depolarization_table(cfg.particle.spheroid, 10, 10)
         assert not table.flags.writeable
 
-    def test_mode_frequencies_drude(self):
-        cfg = _config(Spheroid.sphere(1.0), 2.0, Medium.perfect_conductor(), l_max=8)
-        block = spectral_block(cfg, 0)
-        freqs = mode_frequencies(block, omega_p=2.0)
-        assert np.allclose(freqs, 2.0 * np.sqrt(block.eigenvalues))
+    @pytest.mark.parametrize(
+        "spheroid", [Spheroid.prolate(2.0, 1.0), Spheroid.oblate(1.4, 1.0)], ids=["prolate", "oblate"]
+    )
+    def test_block_size_does_not_change_sectors(self, monkeypatch, spheroid):
+        cfg = _config(spheroid, 0.3, Medium.constant(3.12), l_max=12)
+        blocked = [spectral_block(cfg, m).H for m in range(13)]
+        # one sector per block, requested out of order
+        monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1)
+        spectral._mirror_block.cache_clear()
+        for m in (7, 3, 12, 0, 8):
+            assert np.array_equal(spectral_block(cfg, m).H, blocked[m])
+
+    def test_failing_sector_raises_in_turn(self):
+        # near x = 1 the high orders overflow at l_max = 90: a block keeps
+        # the sectors below the first failing one, which raises when reached
+        x = np.array([1.0 + 1e-9])
+        ms, tables = spectral._radial_rows(1.0, range(91), 90, x, False)
+        assert ms.start == 0 and 0 < ms.stop < 91
+        assert len(tables[0]) == len(ms)
+        with pytest.raises(SpecFunOverflowError):
+            spectral._radial_rows(1.0, range(ms.stop, 91), 90, x, False)
+
+    @pytest.mark.parametrize("l_max, m", [(1, 0), (1, 1), (12, 0), (12, 5), (40, 17), (40, 40)])
+    def test_sphere_coupling_matches_loop(self, l_max, m):
+        a, d = 1.0, 1.3
+        ls = range(max(1, m), l_max + 1)
+        log_ratio = math.log(a / (2.0 * d))
+        half = [
+            0.5 * (math.log(l / (2.0 * l + 1.0)) - log_factorial(l + m) - log_factorial(l - m))
+            for l in ls
+        ]
+        expected = np.array(
+            [
+                [
+                    math.exp(half[i] + half[j] + log_factorial(l + s) + (l + s + 1) * log_ratio)
+                    for j, s in enumerate(ls)
+                ]
+                for i, l in enumerate(ls)
+            ]
+        )
+        assert np.array_equal(spectral._sphere_coupling(a, d, m, l_max), expected)
+
+    @pytest.mark.parametrize("ctor", [Spheroid.prolate, Spheroid.oblate], ids=["prolate", "oblate"])
+    def test_non_finite_coupling_raises_package_error(self, ctor):
+        # x0 ~ 7000: the weights overflow and D is not finite
+        cfg = _config(ctor(1.00000001, 1.0), 0.5, Medium.constant(3.12), l_max=40)
+        with pytest.raises(CasimirSpectralError):
+            zero_point_energy(cfg)
+
+    def test_nan_fails_symmetry_check(self):
+        H = np.eye(3)
+        H[0, 1] = np.nan
+        with pytest.raises(ContractViolationError):
+            spectral.eigendecompose(H)
 
 
 class TestEffectivePolarizability:
