@@ -15,14 +15,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .energy import DEFAULT_L_CAP, DEFAULT_TOLERANCE, energy_sweep
 from .errors import CasimirSpectralError, ConfigParseError
-from .model import Family, Medium, PlacedParticle, Spheroid, SystemConfig
+from .model import Medium, PlacedParticle, Spheroid, SystemConfig
 from .pfa import pfa_energy_sphere_plane
 from .spectral import mode_spectrum
 
@@ -38,11 +40,18 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _finite(s: str) -> float:
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {s!r}")
+    return value
+
+
 def _parse_grid(s: str) -> tuple:
     parts = s.split(":")
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:points")
-    start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
+    start, stop, points = _finite(parts[0]), _finite(parts[1]), int(parts[2])
     if not (start > 0.0 and stop >= start and points >= 1):
         raise ValueError("grid requires 0 < start <= stop and points >= 1")
     if stop == start and points > 1:
@@ -50,28 +59,20 @@ def _parse_grid(s: str) -> tuple:
     return (start, stop, points)
 
 
-_KEY_PARSERS = {
-    "geometry.r_major": float,
-    "geometry.r_minor": float,
-    "geometry.family": str,
-    "substrate.epsilon": float,
-    "substrate.perfect_conductor": _parse_bool,
-    "ambient.epsilon": float,
-    "sweep.z_over_rmin": _parse_grid,
-    "sweep.aspect_ratio": _parse_grid,
-    "truncation.l_max": int,
-    "truncation.tolerance": float,
-    "scenario": str,
-    "output": str,
-}
-
-_DEFAULTS = {
-    "geometry.r_major": 1.0,
-    "geometry.r_minor": 1.0,
-    "ambient.epsilon": 1.0,
-    "sweep.z_over_rmin": (0.2, 20.0, 25),
-    "truncation.l_max": DEFAULT_L_CAP,
-    "truncation.tolerance": DEFAULT_TOLERANCE,
+# key: (parser, default); a key without a default is absent unless set
+_KEYS = {
+    "geometry.r_major": (_finite, 1.0),
+    "geometry.r_minor": (_finite, 1.0),
+    "geometry.family": (str, None),
+    "substrate.epsilon": (_finite, None),
+    "substrate.perfect_conductor": (_parse_bool, None),
+    "ambient.epsilon": (_finite, 1.0),
+    "sweep.z_over_rmin": (_parse_grid, (0.2, 20.0, 25)),
+    "sweep.aspect_ratio": (_parse_grid, None),
+    "truncation.l_max": (int, DEFAULT_L_CAP),
+    "truncation.tolerance": (_finite, DEFAULT_TOLERANCE),
+    "scenario": (str, None),
+    "output": (str, None),
 }
 
 
@@ -106,7 +107,7 @@ def parse_config(text: str, scenario: str | None = None) -> RunConfig:
             )
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ConfigParseError(
                 f"unknown key {key!r} on line {lineno}", line=lineno, key=key
             )
@@ -115,7 +116,7 @@ def parse_config(text: str, scenario: str | None = None) -> RunConfig:
                 f"duplicate key {key!r} on line {lineno}", line=lineno, key=key
             )
         try:
-            params[key] = _KEY_PARSERS[key](value)
+            params[key] = _KEYS[key][0](value)
         except ValueError as exc:
             raise ConfigParseError(
                 f"bad value for {key!r} on line {lineno}: {exc}",
@@ -137,75 +138,64 @@ def parse_config(text: str, scenario: str | None = None) -> RunConfig:
         raise ConfigParseError(f"unknown scenario {scenario!r}")
 
     output = params.pop("output", None)
-    merged = dict(_DEFAULTS)
+    merged = {key: value for key, (_, value) in _KEYS.items() if value is not None}
     merged.update(params)
     _validate(scenario, merged)
     return RunConfig(scenario=scenario, parameters=merged, output_path=output)
 
 
 def _validate(scenario: str, params: dict) -> None:
-    for key in ("geometry.r_major", "geometry.r_minor", "ambient.epsilon"):
-        if not params[key] > 0.0:
-            raise ConfigParseError(f"{key} must be positive", key=key)
+    """The checks the model cannot make; its constructors make the others."""
     if params["truncation.l_max"] < 1:
         raise ConfigParseError("truncation.l_max must be >= 1")
     if not params["truncation.tolerance"] > 0.0:
         raise ConfigParseError("truncation.tolerance must be positive")
-    has_eps = "substrate.epsilon" in params
-    has_pc = params.get("substrate.perfect_conductor", False)
-    if has_eps and has_pc:
+    if "substrate.epsilon" in params and params.get("substrate.perfect_conductor"):
         raise ConfigParseError(
             "substrate.epsilon and substrate.perfect_conductor are exclusive"
         )
-    needs_system = scenario == "modes" or scenario in _SWEEP_EXTRAS
-    if needs_system and not (has_eps or has_pc):
+    _built("ambient.epsilon", Medium.constant, params["ambient.epsilon"])
+    spheroid, substrate = _configured(params)
+    params["geometry.family"] = spheroid.family.value
+    # modes and the sweeps build the configured spheroid over the substrate
+    configured = getattr(_LADDERS.get(scenario), "system", None) is _configured
+    if substrate is None and (configured or scenario == "modes"):
         raise ConfigParseError(
             f"scenario {scenario!r} requires substrate.epsilon or "
             "substrate.perfect_conductor"
         )
-    if needs_system and has_eps and not params["substrate.epsilon"] > 0.0:
-        raise ConfigParseError("substrate.epsilon must be positive")
-    ratio = params["geometry.r_major"] / params["geometry.r_minor"]
+
+
+def _built(key: str, constructor, *args):
+    """constructor(*args), its ValueError turned into a ConfigParseError."""
+    try:
+        return constructor(*args)
+    except ValueError as exc:
+        raise ConfigParseError(f"bad {key}: {exc}", key=key) from exc
+
+
+def _configured(params: dict, label=None) -> tuple:
+    """The configured spheroid and substrate; no substrate key gives None.
+
+    Axes equal within 1e-12 relative make a sphere when the family is unset
+    or ``sphere``; unequal axes need a family.
+    """
+    r_major, r_minor = params["geometry.r_major"], params["geometry.r_minor"]
     family = params.get("geometry.family")
+    if family in (None, "sphere") and abs(r_major - r_minor) <= 1e-12 * abs(r_minor):
+        family, r_minor = "sphere", r_major
     if family is None:
-        if abs(ratio - 1.0) > 1e-12:
-            raise ConfigParseError(
-                "geometry.family required when r_major != r_minor"
-            )
-        params["geometry.family"] = "sphere"
-    elif family not in ("sphere", "prolate", "oblate"):
-        raise ConfigParseError(f"unknown geometry.family {family!r}")
-    elif family == "sphere" and abs(ratio - 1.0) > 1e-12:
-        raise ConfigParseError("sphere requires r_major == r_minor")
-    elif family != "sphere" and not ratio > 1.0:
-        raise ConfigParseError("spheroid requires r_major > r_minor")
+        raise ConfigParseError("geometry.family required when r_major != r_minor")
+    spheroid = _built("geometry", Spheroid, r_major, r_minor, family)
+    if params.get("substrate.perfect_conductor"):
+        return spheroid, Medium.perfect_conductor()
+    if "substrate.epsilon" not in params:
+        return spheroid, None
+    eps = params["substrate.epsilon"]
+    return spheroid, _built("substrate.epsilon", Medium.constant, eps)
 
 
-def _spheroid_from(params: dict) -> Spheroid:
-    family = Family(params["geometry.family"])
-    if family is Family.SPHERE:
-        return Spheroid.sphere(params["geometry.r_major"])
-    ctor = Spheroid.prolate if family is Family.PROLATE else Spheroid.oblate
-    return ctor(params["geometry.r_major"], params["geometry.r_minor"])
-
-
-def _substrate_from(params: dict) -> Medium:
-    if params.get("substrate.perfect_conductor", False):
-        return Medium.perfect_conductor()
-    return Medium.constant(params["substrate.epsilon"])
-
-
-def _system_config(params: dict, spheroid, substrate, gap) -> SystemConfig:
-    return SystemConfig(
-        particle=PlacedParticle(spheroid, gap=gap),
-        substrate_medium=substrate,
-        ambient_epsilon=params["ambient.epsilon"],
-        l_max=params["truncation.l_max"],
-    )
-
-
-def _grid(params: dict, key: str = "sweep.z_over_rmin") -> np.ndarray:
-    start, stop, points = params[key]
+def _geomspace(start: float, stop: float, points: int) -> np.ndarray:
     if points == 1:
         return np.asarray([start])
     return np.geomspace(start, stop, points)
@@ -214,6 +204,8 @@ def _grid(params: dict, key: str = "sweep.z_over_rmin") -> np.ndarray:
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, tuple):
+        return ":".join(_fmt(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -225,20 +217,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _preamble(run: RunConfig, extra: dict) -> list:
+def _write_csv(
+    path: str, run: RunConfig, entries: dict, columns: tuple, rows: list
+) -> None:
+    """The run's preamble (its parameters, then ``entries``), header and rows."""
     lines = [
         f"# casimir-spectral {__version__}",
         f"# scenario = {run.scenario}",
     ]
-    for key in sorted(run.parameters):
-        value = run.parameters[key]
-        if isinstance(value, tuple):
-            value = ":".join(_fmt(v) for v in value)
-        else:
-            value = _fmt(value)
-        lines.append(f"# {key} = {value}")
-    for key in sorted(extra):
-        lines.append(f"# {key} = {_fmt(extra[key])}")
+    for echo in (run.parameters, entries):
+        lines.extend(f"# {key} = {_fmt(echo[key])}" for key in sorted(echo))
     lines.extend(
         [
             "# convention: eigenvalues are depolarization factors n in (0, 1)",
@@ -246,11 +234,6 @@ def _preamble(run: RunConfig, extra: dict) -> list:
             "# convention: mode multiplicity is 1 for m = 0 and 2 for m > 0",
         ]
     )
-    return lines
-
-
-def _write_csv(path: str, preamble: list, columns: tuple, rows: list) -> None:
-    lines = list(preamble)
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(row.get(c)) for c in columns))
@@ -258,23 +241,62 @@ def _write_csv(path: str, preamble: list, columns: tuple, rows: list) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _run_ladder(
-    run: RunConfig, labels, make_config, grid, preamble, extra=None, tag=None
-) -> int:
+def _pfa_ratio(config: SystemConfig, sample) -> float:
+    """Xi over the PFA energy of the particle's apex curvature above the plate."""
+    xi_pfa = pfa_energy_sphere_plane(config)
+    return sample.xi / xi_pfa if xi_pfa != 0.0 else math.nan
+
+
+def _z_grid(params: dict) -> np.ndarray:
+    return _geomspace(*params["sweep.z_over_rmin"])
+
+
+@dataclass(frozen=True)
+class _Ladder:
+    """A ladder scenario: each label over the z grid through energy_sweep.
+
+    ``system(params, label)`` gives a label's spheroid and substrate; grid
+    value z is the gap ``z * getattr(spheroid, gap_axis)``.  ``preamble``
+    maps the first point's config to extra preamble entries, and each
+    ``extra`` column is fn(config, sample).  With ``tag``, each label goes
+    to its own file, ``_<tag(label)>`` after the output stem.
+    """
+
+    labels: Callable
+    system: Callable
+    grid: Callable = _z_grid
+    gap_axis: str = "r_minor"
+    preamble: Callable = lambda config: {}
+    extra: dict = field(default_factory=dict)
+    tag: Callable | None = None
+
+
+def _config_at(params: dict, spec: _Ladder, label: dict, z) -> SystemConfig:
+    """The SystemConfig of every scenario point: the label's system at z."""
+    spheroid, substrate = spec.system(params, label)
+    return SystemConfig(
+        particle=PlacedParticle(spheroid, gap=z * getattr(spheroid, spec.gap_axis)),
+        substrate_medium=substrate,
+        ambient_epsilon=params["ambient.epsilon"],
+        l_max=params["truncation.l_max"],
+    )
+
+
+def _run_ladder(run: RunConfig, spec: _Ladder) -> int:
     """Run energy_sweep over labels x grid, write the CSV, return the exit code.
 
     One record per (label, z) holds the label's keys, the base columns and,
-    on converged rows, one column per ``extra`` entry, computed as
-    fn(config, sample).  ``beta_local`` comes from the converged samples of
-    the same label.  A failed row keeps ``z_over_rmin`` and leaves the other
-    values empty.  ``preamble`` holds the extra preamble entries.  With
-    ``tag``, each label goes to its own file, the output path suffixed with
-    ``_<tag(label)>``, and its keys join that file's preamble.
+    on converged rows, the extra columns.  ``beta_local`` comes from the
+    converged samples of the same label.  A failed row keeps ``z_over_rmin``
+    and leaves the other values empty.
     """
     params = run.parameters
-    extra = extra or {}
+    labels = spec.labels(params)
     tolerance, l_cap = params["truncation.tolerance"], params["truncation.l_max"]
-    results = energy_sweep(make_config, grid, labels, tolerance=tolerance, l_cap=l_cap)
+    make_config = partial(_config_at, params, spec)
+    results = energy_sweep(
+        make_config, spec.grid(params), labels, tolerance=tolerance, l_cap=l_cap
+    )
     tables = []
     for label, (sweep, rows) in zip(labels, results):
         betas = iter(sweep.local_exponents())
@@ -292,37 +314,34 @@ def _run_ladder(
                     beta_local=next(betas),
                     l_max_used=sample.l_max_used,
                     converged=sample.converged,
+                    **{name: fn(config, sample) for name, fn in spec.extra.items()},
                 )
-                record.update({name: fn(config, sample) for name, fn in extra.items()})
             records.append(record)
         tables.append(records)
 
-    columns = _BASE_COLUMNS + tuple(labels[0]) + tuple(extra)
+    preamble = spec.preamble(results[0][1][0].config)
+    columns = _BASE_COLUMNS + tuple(labels[0]) + tuple(spec.extra)
     every = [record for records in tables for record in records]
-    if tag is None:
+    if spec.tag is None:
         files = [(run.csv_path, preamble, every)]
     else:
         stem = run.csv_path.removesuffix(".csv")
         suffix = run.csv_path[len(stem):]
         files = [
-            (f"{stem}_{tag(label)}{suffix}", {**preamble, **label}, records)
+            (f"{stem}_{spec.tag(label)}{suffix}", {**preamble, **label}, records)
             for label, records in zip(labels, tables)
         ]
     for path, entries, records in files:
-        _write_csv(path, _preamble(run, entries), columns, records)
+        _write_csv(path, run, entries, columns, records)
     return 2 if run.strict and not all(r["converged"] for r in every) else 0
 
 
-def _pfa_ratio(config: SystemConfig, sample) -> float:
-    """Xi over the PFA energy of the particle's apex curvature above the plate."""
-    xi_pfa = pfa_energy_sphere_plane(config)
-    return sample.xi / xi_pfa if xi_pfa != 0.0 else math.nan
+# the configured geometry and substrate over the z/r_min grid
+_SWEEP = _Ladder(lambda _: ({},), _configured, preamble=lambda c: {"f_c": c.f_c})
 
 
 def _scenario_modes(run: RunConfig) -> int:
-    params = run.parameters
-    z = _grid(params)[0] * params["geometry.r_minor"]
-    cfg = _system_config(params, _spheroid_from(params), _substrate_from(params), z)
+    cfg = _config_at(run.parameters, _SWEEP, {}, _z_grid(run.parameters)[0])
     spectrum = mode_spectrum(cfg)
     columns = ("m", "mode_index", "n", "omega_over_omega_p", "multiplicity")
     records = [
@@ -330,82 +349,25 @@ def _scenario_modes(run: RunConfig) -> int:
         for block in spectrum.blocks
         for i, n in enumerate(np.sort(block.eigenvalues))
     ]
-    preamble = {"f_c": cfg.f_c, "z_over_rmin": z / params["geometry.r_minor"]}
-    _write_csv(run.csv_path, _preamble(run, preamble), columns, records)
+    z_over_rmin = cfg.particle.gap / cfg.particle.spheroid.r_minor
+    preamble = {"f_c": cfg.f_c, "z_over_rmin": z_over_rmin}
+    _write_csv(run.csv_path, run, preamble, columns, records)
     return 0
 
 
-# extra columns of the single-geometry sweep scenarios
-_SWEEP_EXTRAS = {
-    "energy_sweep": {},
-    "exponent": {},
-    "convergence": {"rel_change": lambda config, sample: sample.rel_change_last_step},
-    "pfa_compare": {"pfa_ratio": _pfa_ratio},
+FIG1_SPHEROID = Spheroid.oblate(1.4, 1.0)
+FIG1_MEDIA = {
+    math.inf: Medium.perfect_conductor(),
+    **{eps: Medium.constant(eps) for eps in (7.8, 3.12, 1.6)},
 }
-
-
-def _scenario_sweep(run: RunConfig) -> int:
-    """The configured geometry and substrate over the z/r_min grid."""
-    params = run.parameters
-    spheroid, substrate = _spheroid_from(params), _substrate_from(params)
-    r_minor = params["geometry.r_minor"]
-    grid = _grid(params)
-
-    def make_config(label, z_rel):
-        return _system_config(params, spheroid, substrate, z_rel * r_minor)
-
-    preamble = {"f_c": make_config({}, grid[0]).f_c}
-    extra = _SWEEP_EXTRAS[run.scenario]
-    return _run_ladder(run, ({},), make_config, grid, preamble, extra)
-
-
-FIG1_EPSILONS = (math.inf, 7.8, 3.12, 1.6)
-
-
-def _scenario_fig1(run: RunConfig) -> int:
-    """Oblate aspect 1.4 over the four substrates of increasing contrast;
-    one file per substrate, tagged by its epsilon (eps_inf, eps_7p8, ...)."""
-    params = run.parameters
-    spheroid = Spheroid.oblate(1.4, 1.0)
-
-    def make_config(label, z_rel):
-        eps = label["epsilon_sub"]
-        substrate = (
-            Medium.perfect_conductor() if math.isinf(eps) else Medium.constant(eps)
-        )
-        return _system_config(params, spheroid, substrate, z_rel)
-
-    def tag(label):
-        return "eps_" + _fmt(label["epsilon_sub"]).replace(".", "p")
-
-    labels = [{"epsilon_sub": eps} for eps in FIG1_EPSILONS]
-    # .tolist(): the gaps of fig1 and fig2 are Python floats and those of
-    # fig4 numpy scalars, which keeps each point's config repr stable
-    grid = _grid(params).tolist()
-    return _run_ladder(run, labels, make_config, grid, {"aspect_ratio": 1.4}, tag=tag)
-
-
-FIG2_ASPECTS = (1.2, 1.6, 2.0)
-FIG2_EPSILON = 3.12
-
-
-def _scenario_fig2(run: RunConfig) -> int:
-    """Prolate aspect families over sapphire; energy vs z/r_<."""
-    params = run.parameters
-    substrate = Medium.constant(FIG2_EPSILON)
-
-    def make_config(label, z_rel):
-        spheroid = Spheroid.prolate(label["aspect_ratio"], 1.0)
-        return _system_config(params, spheroid, substrate, z_rel)
-
-    labels = [{"aspect_ratio": aspect} for aspect in FIG2_ASPECTS]
-    grid = _grid(params).tolist()
-    return _run_ladder(run, labels, make_config, grid, {"epsilon_sub": FIG2_EPSILON})
-
-
+FIG2_FAMILIES = {aspect: Spheroid.prolate(aspect, 1.0) for aspect in (1.2, 1.6, 2.0)}
 FIG3_Z_OVER_RPERP = 0.25
-FIG3_EPSILON = 3.12
 FIG3_DEFAULT_GRID = (0.4, 2.5, 11)
+# two prolate families, by aspect ratio, with the same apex curvature radius
+# r_minor^2 / r_major = 0.5
+FIG4_FAMILIES = {2.0: Spheroid.prolate(2.0, 1.0), 2.5: Spheroid.prolate(3.125, 1.25)}
+EPS_SAPPHIRE = 3.12  # the substrate of fig2, fig3 and fig4
+_SAPPHIRE = Medium.constant(EPS_SAPPHIRE)
 
 
 def _fig3_spheroid(r) -> Spheroid:
@@ -418,41 +380,55 @@ def _fig3_spheroid(r) -> Spheroid:
     return Spheroid.prolate(1.0, r)
 
 
-def _scenario_fig3(run: RunConfig) -> int:
-    """Sweep aspect ratio r = r_par / r_perp at fixed z / r_perp = 0.25;
-    each aspect ratio is a label over the one-point grid, so beta is empty."""
-    params = {"sweep.aspect_ratio": FIG3_DEFAULT_GRID, **run.parameters}
-    substrate = Medium.constant(FIG3_EPSILON)
-
-    def make_config(label, z_over_rperp):
-        spheroid = _fig3_spheroid(label["aspect_ratio"])
-        gap = z_over_rperp * spheroid.r_perp
-        return _system_config(params, spheroid, substrate, gap)
-
-    labels = [{"aspect_ratio": r} for r in _grid(params, "sweep.aspect_ratio")]
-    preamble = {"epsilon_sub": FIG3_EPSILON, "z_over_rperp": FIG3_Z_OVER_RPERP}
-    return _run_ladder(run, labels, make_config, (FIG3_Z_OVER_RPERP,), preamble)
-
-
-# two prolate families with the same apex curvature radius r_minor^2 / r_major = 0.5
-FIG4_FAMILIES = (Spheroid.prolate(2.0, 1.0), Spheroid.prolate(3.125, 1.25))
-FIG4_EPSILON = 3.12
-
-
-def _scenario_fig4(run: RunConfig) -> int:
-    """Fixed-curvature prolate families: same PFA prediction, different Xi."""
-    params = run.parameters
-    substrate = Medium.constant(FIG4_EPSILON)
-    by_aspect = {spheroid.aspect_ratio: spheroid for spheroid in FIG4_FAMILIES}
-
-    def make_config(label, z_rel):
-        spheroid = by_aspect[label["aspect_ratio"]]
-        return _system_config(params, spheroid, substrate, z_rel * spheroid.r_minor)
-
-    labels = [{"aspect_ratio": aspect} for aspect in by_aspect]
-    preamble = {"epsilon_sub": FIG4_EPSILON, "apex_radius": 0.5}
-    extra = {"pfa_ratio": _pfa_ratio}
-    return _run_ladder(run, labels, make_config, _grid(params), preamble, extra)
+# the gaps of fig1 and fig2 are Python floats and those of fig4 and the
+# sweeps numpy scalars, which keeps each point's config repr stable
+_LADDERS = {
+    "energy_sweep": _SWEEP,
+    "exponent": _SWEEP,
+    "pfa_compare": replace(_SWEEP, extra={"pfa_ratio": _pfa_ratio}),
+    "convergence": replace(
+        _SWEEP, extra={"rel_change": lambda _, sample: sample.rel_change_last_step}
+    ),
+    # oblate aspect 1.4 over the four substrates of increasing contrast; one
+    # file per substrate, tagged by its epsilon (eps_inf, eps_7p8, ...)
+    "fig1": _Ladder(
+        labels=lambda _: [{"epsilon_sub": eps} for eps in FIG1_MEDIA],
+        system=lambda _, label: (FIG1_SPHEROID, FIG1_MEDIA[label["epsilon_sub"]]),
+        grid=lambda params: _z_grid(params).tolist(),
+        preamble=lambda _: {"aspect_ratio": 1.4},
+        tag=lambda label: "eps_" + _fmt(label["epsilon_sub"]).replace(".", "p"),
+    ),
+    # prolate aspect families over sapphire; energy vs z/r_<
+    "fig2": _Ladder(
+        labels=lambda _: [{"aspect_ratio": aspect} for aspect in FIG2_FAMILIES],
+        system=lambda _, label: (FIG2_FAMILIES[label["aspect_ratio"]], _SAPPHIRE),
+        grid=lambda params: _z_grid(params).tolist(),
+        preamble=lambda _: {"epsilon_sub": EPS_SAPPHIRE},
+    ),
+    # aspect ratio r = r_par / r_perp at fixed z / r_perp = 0.25; each aspect
+    # ratio is a label over the one-point grid, so beta is empty
+    "fig3": _Ladder(
+        labels=lambda params: [
+            {"aspect_ratio": r}
+            for r in _geomspace(*params.get("sweep.aspect_ratio", FIG3_DEFAULT_GRID))
+        ],
+        system=lambda _, label: (_fig3_spheroid(label["aspect_ratio"]), _SAPPHIRE),
+        grid=lambda _: (FIG3_Z_OVER_RPERP,),
+        gap_axis="r_perp",
+        preamble=lambda _: {
+            "epsilon_sub": EPS_SAPPHIRE,
+            "z_over_rperp": FIG3_Z_OVER_RPERP,
+        },
+    ),
+    # fixed-curvature prolate families: same PFA prediction, different Xi
+    "fig4": _Ladder(
+        labels=lambda _: [{"aspect_ratio": aspect} for aspect in FIG4_FAMILIES],
+        system=lambda _, label: (FIG4_FAMILIES[label["aspect_ratio"]], _SAPPHIRE),
+        preamble=lambda _: {"epsilon_sub": EPS_SAPPHIRE, "apex_radius": 0.5},
+        extra={"pfa_ratio": _pfa_ratio},
+    ),
+}
+SCENARIOS = ("modes", *_LADDERS, "verify")
 
 
 def _scenario_verify(run: RunConfig) -> int:
@@ -461,13 +437,19 @@ def _scenario_verify(run: RunConfig) -> int:
     from . import oracles
     from .spectral import isolated_depolarization, spectral_block
 
-    checks = []
+    lines = []
 
     def check(name, deviation, tolerance):
-        checks.append((name, deviation, tolerance, deviation <= tolerance))
+        status = "pass" if deviation <= tolerance else "FAIL"
+        lines.append(f"{status}  {name}: deviation {deviation:.3e} (tol {tolerance:g})")
+
+    sphere = Spheroid.sphere(1.0)
+
+    def over_conductor(gap, l_max):
+        particle = PlacedParticle(sphere, gap=gap)
+        return SystemConfig(particle, Medium.perfect_conductor(), l_max=l_max)
 
     # isolated sphere spectrum
-    sphere = Spheroid.sphere(1.0)
     worst = 0.0
     for l in range(1, 31):
         worst = max(worst, abs(isolated_depolarization(sphere, l, 0) - l / (2 * l + 1)))
@@ -482,63 +464,38 @@ def _scenario_verify(run: RunConfig) -> int:
             check(f"depolarization_{family}_{axis}", abs(got - ref), 1e-8)
 
     # image-dipole shifts for a sphere at z/a = 5, f_c = -1
-    particle = PlacedParticle(sphere, gap=5.0)
-    modes = oracles.image_dipole_modes(1.0, particle.center_height, -1.0)
-    cfg = SystemConfig(
-        particle=particle, substrate_medium=Medium.perfect_conductor(), l_max=20
-    )
+    cfg = over_conductor(5.0, l_max=20)
+    modes = oracles.image_dipole_modes(1.0, cfg.particle.center_height, -1.0)
     for m, key in ((0, "n_perp"), (1, "n_par")):
-        block = spectral_block(cfg, m)
-        n1 = float(np.sort(block.eigenvalues)[0])
+        n1 = float(np.sort(spectral_block(cfg, m).eigenvalues)[0])
         shift_ref = modes[key] - 1.0 / 3.0
         shift = n1 - 1.0 / 3.0
         check(f"image_dipole_m{m}", abs(shift - shift_ref) / abs(shift_ref), 0.02)
 
     # boundary-integral cross-check, sphere at z/a = 1 over a conductor
-    particle = PlacedParticle(sphere, gap=1.0)
-    cfg = SystemConfig(
-        particle=particle, substrate_medium=Medium.perfect_conductor(), l_max=30
-    )
+    cfg = over_conductor(1.0, l_max=30)
     for m in (0, 1):
-        u_bem = oracles.quasistatic_bem(particle, -1.0, m)
-        block = spectral_block(cfg, m)
-        u_core = np.sort(block.eigenvalues)[:3]
+        u_bem = oracles.quasistatic_bem(cfg.particle, -1.0, m)
+        u_core = np.sort(spectral_block(cfg, m).eigenvalues)[:3]
         dev = float(np.max(np.abs(u_core - u_bem) / np.abs(u_bem)))
         check(f"bem_sphere_m{m}", dev, 0.01)
 
-    lines = []
-    ok = True
-    for name, deviation, tolerance, passed in checks:
-        ok = ok and passed
-        status = "pass" if passed else "FAIL"
-        lines.append(f"{status}  {name}: deviation {deviation:.3e} (tol {tolerance:g})")
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if run.output_path is not None:
         with open(run.output_path, "w", encoding="utf-8") as fh:
             fh.write(report)
-    return 0 if ok else 2
-
-
-_SCENARIO_RUNNERS = {
-    "modes": _scenario_modes,
-    "energy_sweep": _scenario_sweep,
-    "exponent": _scenario_sweep,
-    "pfa_compare": _scenario_sweep,
-    "convergence": _scenario_sweep,
-    "verify": _scenario_verify,
-    "fig1": _scenario_fig1,
-    "fig2": _scenario_fig2,
-    "fig3": _scenario_fig3,
-    "fig4": _scenario_fig4,
-}
-SCENARIOS = tuple(_SCENARIO_RUNNERS)
+    return 2 if any(line.startswith("FAIL") for line in lines) else 0
 
 
 def run(config: RunConfig) -> int:
     """Execute a scenario; returns the process exit code."""
     try:
-        return _SCENARIO_RUNNERS[config.scenario](config)
+        if config.scenario == "modes":
+            return _scenario_modes(config)
+        if config.scenario == "verify":
+            return _scenario_verify(config)
+        return _run_ladder(config, _LADDERS[config.scenario])
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 3

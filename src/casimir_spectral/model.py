@@ -161,8 +161,8 @@ class Medium:
     def __post_init__(self):
         object.__setattr__(self, "kind", MediumKind(self.kind))
         if self.kind is MediumKind.CONSTANT:
-            if self.epsilon is None or not self.epsilon > 0.0:
-                raise InvalidMediumError("constant medium requires epsilon > 0")
+            if self.epsilon is None or not 0.0 < self.epsilon < math.inf:
+                raise InvalidMediumError("constant medium requires finite epsilon > 0")
         elif self.kind is MediumKind.DRUDE:
             if self.omega_p is None or not self.omega_p > 0.0:
                 raise InvalidMediumError("Drude medium requires omega_p > 0")
@@ -195,8 +195,8 @@ def contrast_fc(ambient_epsilon: float, substrate: Medium) -> float:
 
     A perfect conductor gives exactly -1.  Result lies in [-1, 1).
     """
-    if not ambient_epsilon > 0.0:
-        raise InvalidMediumError("ambient epsilon must be positive")
+    if not 0.0 < ambient_epsilon < math.inf:
+        raise InvalidMediumError("ambient epsilon must be positive and finite")
     if substrate.kind is MediumKind.PERFECT_CONDUCTOR:
         return -1.0
     if substrate.kind is not MediumKind.CONSTANT:
@@ -232,11 +232,9 @@ class SystemConfig:
     l_max: int = 10
 
     def __post_init__(self):
-        if not self.ambient_epsilon > 0.0:
-            raise InvalidMediumError("ambient epsilon must be positive")
         if self.l_max < 1:
             raise ValueError("l_max must be >= 1")
-        # Keys f_c early so invalid substrate media fail at construction.
+        # Keys f_c early so invalid media fail at construction.
         contrast_fc(self.ambient_epsilon, self.substrate_medium)
 
     @property

@@ -1,11 +1,17 @@
 import hashlib
 import math
+import pathlib
+import subprocess
+import sys
+import warnings
 
 import pytest
 
 from casimir_spectral import cli
 from casimir_spectral.cli import RunConfig, main, parse_config, run
 from casimir_spectral.errors import ConfigParseError
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 SPHERE_CFG = """
 # sphere above a perfect conductor
@@ -59,6 +65,34 @@ truncation.l_max = 20
 FAILING_DIGESTS = {
     "pfa_compare": "d996e4025032665beb145d6a7e23d58ea42b7aefe25f2d37ac85076716dce4a0",
     "fig3": "7032406240fe8f5d372cd3d61492cdaccd6d048e5ce7cd81d1f7e293ba7d2dfb",
+}
+
+
+# a prolate 2/1 over epsilon 2; each case of test_rejected overrides keys of it
+REJECT_BASE = {
+    "geometry.r_major": "2",
+    "geometry.r_minor": "1",
+    "geometry.family": "prolate",
+    "substrate.epsilon": "2",
+    "truncation.l_max": "10",
+}
+REJECTED = {
+    "r_major_inf": ("modes", {"geometry.r_major": "inf"}),
+    "grid_end_inf": ("energy_sweep", {"sweep.z_over_rmin": "0.5:inf:3"}),
+    "substrate_epsilon_inf": ("energy_sweep", {"substrate.epsilon": "inf"}),
+    "ambient_epsilon_inf": ("energy_sweep", {"ambient.epsilon": "inf"}),
+    "prolate_r_major_below_r_minor": (
+        "modes",
+        {"geometry.r_major": "1", "geometry.r_minor": "2"},
+    ),
+    "sphere_unequal_axes": ("modes", {"geometry.family": "sphere"}),
+    "oblate_equal_axes": (
+        "modes",
+        {"geometry.family": "oblate", "geometry.r_major": "1"},
+    ),
+    "unknown_family": ("modes", {"geometry.family": "cube"}),
+    "substrate_epsilon_negative": ("modes", {"substrate.epsilon": "-2"}),
+    "ambient_epsilon_zero": ("modes", {"ambient.epsilon": "0"}),
 }
 
 
@@ -134,6 +168,22 @@ class TestParseConfig:
     def test_substrate_required(self):
         with pytest.raises(ConfigParseError):
             parse_config("geometry.r_major = 1.0", scenario="energy_sweep")
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejected(self, tmp_path, capsys, case):
+        scenario, overrides = REJECTED[case]
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(
+            "".join(f"{k} = {v}\n" for k, v in {**REJECT_BASE, **overrides}.items())
+        )
+        out_path = tmp_path / "out.csv"
+        args = [scenario, "--config", str(cfg_path), "--output", str(out_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ")
+        assert not out_path.exists()
 
 
 class TestScenarios:
@@ -279,6 +329,24 @@ class TestScenarios:
         fig2_xi, sweep_xi = columns
         assert len(fig2_xi) == 3
         assert fig2_xi == sweep_xi
+
+    def test_reproduce_figures_script(self, tmp_path, src_env):
+        script = ROOT / "scripts" / "reproduce_figures.py"
+        done = subprocess.run(
+            [sys.executable, str(script), str(tmp_path)],
+            env=src_env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        fig1 = [f"fig1_eps_{tag}.csv" for tag in ("inf", "7p8", "3p12", "1p6")]
+        expected = fig1 + ["fig2.csv", "fig3.csv", "fig4.csv"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(expected)
+        for name in expected:
+            _, _, rows = _read_rows(tmp_path / name)
+            assert rows
+            assert all(row["converged"] == "true" for row in rows)
 
     def test_verify_scenario(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +60,30 @@ class TestZeroPointEnergy:
         xi = zero_point_energy(cfg).xi
         xi_scaled = zero_point_energy(cfg.scaled(7.3)).xi
         assert xi_scaled == pytest.approx(xi, rel=1e-10)
+
+    def test_blas_thread_count(self, src_env):
+        # Multi-threaded BLAS sums in another order, so the last bits of Xi
+        # depend on the thread count; they must stay within the 1e-12
+        # relative gate of the benchmark, which pins one thread.
+        code = (
+            "from casimir_spectral import *\n"
+            "particle = PlacedParticle(Spheroid.prolate(2.0, 1.0), gap=0.05)\n"
+            "cfg = SystemConfig(particle, Medium.constant(3.12), l_max=90)\n"
+            "print(repr(zero_point_energy(cfg).xi))\n"
+        )
+        xis = []
+        for threads in ("1", "2"):
+            env = dict(src_env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            xis.append(float(done.stdout))
+        assert xis[1] == pytest.approx(xis[0], rel=1e-12, abs=0.0)
 
 
 class TestConvergenceLadder:

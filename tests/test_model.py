@@ -3,7 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from casimir_spectral.errors import ContactError, DegenerateCoordinateError
+from casimir_spectral.errors import (
+    ContactError,
+    DegenerateCoordinateError,
+    InvalidMediumError,
+)
 from casimir_spectral.model import (
     Family,
     Medium,
@@ -93,6 +97,14 @@ class TestMedia:
     def test_contrast_range(self, eps):
         f_c = contrast_fc(1.0, Medium.constant(eps))
         assert -1.0 < f_c <= 0.0
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_epsilon_rejected(self, eps):
+        with pytest.raises(InvalidMediumError):
+            Medium.constant(eps)
+        particle = PlacedParticle(Spheroid.sphere(1.0), gap=1.0)
+        with pytest.raises(InvalidMediumError):
+            SystemConfig(particle, Medium.constant(3.12), ambient_epsilon=eps)
 
     def test_drude_spectral_variable(self):
         drude = Medium.drude(1.0)

@@ -13,29 +13,13 @@ from casimir_spectral.specfun import (
     prolate_radial_table,
 )
 
-mpmath = pytest.importorskip("mpmath")
+pytest.importorskip("mpmath")
 
+from mpmath_reference import OBLATE_POINTS, PROLATE_POINTS, load, mp_oblate, mp_prolate
 
-def _norm(l, m):
-    return math.exp(0.5 * (log_factorial(l - m) - log_factorial(l + m)))
-
-
-def mp_prolate(l, m, x):
-    """Reference normalized radial pair via arbitrary precision."""
-    with mpmath.workdps(40):
-        P = complex(mpmath.legenp(l, m, x, type=3)).real
-        Q = complex(mpmath.legenq(l, m, x, type=3)).real
-    return _norm(l, m) * P, _norm(l, m) * Q
-
-
-def mp_oblate(l, m, zeta):
-    """Oblate continuation: P(i zeta) = i^l p, Q(i zeta) = (-i)^(l+1) q."""
-    with mpmath.workdps(40):
-        P = complex(mpmath.legenp(l, m, mpmath.mpc(0, zeta), type=3))
-        Q = complex(mpmath.legenq(l, m, mpmath.mpc(0, zeta), type=3))
-    p = complex((mpmath.mpc(0, 1) ** (-l)) * P).real
-    q = complex((mpmath.mpc(0, 1) ** (l + 1)) * Q).real
-    return _norm(l, m) * p, _norm(l, m) * q
+# 40-digit mpmath values at every (m, coordinate, l) of the two tables,
+# written by tests/mpmath_reference.py
+REFERENCE = load()
 
 
 class TestLogFactorial:
@@ -58,10 +42,18 @@ class TestProlateRadial:
         assert nP[1, 0] == pytest.approx(2.0)
         assert nQ[1, 0] == pytest.approx(math.log(3.0) - 1.0, rel=1e-13)
 
-    @pytest.mark.parametrize("m", [0, 1, 3, 8])
-    @pytest.mark.parametrize("x", [1.0001, 1.05, 1.5, 4.0])
+    @pytest.mark.parametrize("m", PROLATE_POINTS[0])
+    @pytest.mark.parametrize("x", PROLATE_POINTS[1])
     def test_against_mpmath(self, m, x):
-        l_max = 25
+        l_max = PROLATE_POINTS[2]
+        nP, ndP, nQ, ndQ = prolate_radial_table(m, l_max, np.array([x]))
+        for l in range(m, l_max + 1):
+            refP, refQ = REFERENCE["prolate", m, x, l]
+            assert nP[l, 0] == pytest.approx(refP, rel=1e-10)
+            assert nQ[l, 0] == pytest.approx(refQ, rel=1e-10)
+
+    def test_against_live_mpmath(self):
+        m, x, l_max = 3, 1.5, PROLATE_POINTS[2]
         nP, ndP, nQ, ndQ = prolate_radial_table(m, l_max, np.array([x]))
         for l in range(m, l_max + 1):
             refP, refQ = mp_prolate(l, m, x)
@@ -159,10 +151,18 @@ class TestBatchedTables:
 
 
 class TestOblateRadial:
-    @pytest.mark.parametrize("m", [0, 1, 4])
-    @pytest.mark.parametrize("zeta", [0.05, 0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("m", OBLATE_POINTS[0])
+    @pytest.mark.parametrize("zeta", OBLATE_POINTS[1])
     def test_against_mpmath(self, m, zeta):
-        l_max = 20
+        l_max = OBLATE_POINTS[2]
+        p, dp, q, dq = oblate_radial_table(m, l_max, np.array([zeta]))
+        for l in range(m, l_max + 1):
+            refp, refq = REFERENCE["oblate", m, zeta, l]
+            assert p[l, 0] == pytest.approx(refp, rel=1e-10)
+            assert q[l, 0] == pytest.approx(refq, rel=1e-10)
+
+    def test_against_live_mpmath(self):
+        m, zeta, l_max = 0, 0.3, OBLATE_POINTS[2]
         p, dp, q, dq = oblate_radial_table(m, l_max, np.array([zeta]))
         for l in range(m, l_max + 1):
             refp, refq = mp_oblate(l, m, zeta)
