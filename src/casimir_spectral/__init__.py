@@ -9,7 +9,6 @@ from .errors import (
     ConfigParseError,
     ContactError,
     ConvergenceError,
-    UndefinedExponentError,
     UnphysicalModeError,
 )
 from .model import (
@@ -22,7 +21,6 @@ from .model import (
     spectral_u,
 )
 from .spectral import (
-    ModeSpectrum,
     SpectralBlock,
     coupling_matrix_D,
     effective_polarizability,
@@ -32,10 +30,9 @@ from .spectral import (
 )
 from .energy import (
     EnergySample,
-    SweepResult,
     convergence_ladder,
     energy_sweep,
-    local_exponent,
+    local_exponents,
     zero_point_energy,
 )
 from .pfa import (
@@ -53,7 +50,6 @@ __all__ = [
     "ConfigParseError",
     "ContactError",
     "ConvergenceError",
-    "UndefinedExponentError",
     "UnphysicalModeError",
     "Family",
     "Medium",
@@ -62,7 +58,6 @@ __all__ = [
     "SystemConfig",
     "contrast_fc",
     "spectral_u",
-    "ModeSpectrum",
     "SpectralBlock",
     "coupling_matrix_D",
     "effective_polarizability",
@@ -70,10 +65,9 @@ __all__ = [
     "mode_spectrum",
     "spectral_block",
     "EnergySample",
-    "SweepResult",
     "convergence_ladder",
     "energy_sweep",
-    "local_exponent",
+    "local_exponents",
     "zero_point_energy",
     "CurvedSurfacePFA",
     "PlatePair",

@@ -17,12 +17,17 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .energy import DEFAULT_L_CAP, DEFAULT_TOLERANCE, energy_sweep
+from .energy import (
+    DEFAULT_L_CAP,
+    DEFAULT_TOLERANCE,
+    L_STEP,
+    energy_sweep,
+    local_exponents,
+)
 from .errors import CasimirSpectralError, ConfigParseError
 from .model import Medium, PlacedParticle, Spheroid, SystemConfig
 from .pfa import pfa_energy_sphere_plane
@@ -146,8 +151,9 @@ def parse_config(text: str, scenario: str | None = None) -> RunConfig:
 
 def _validate(scenario: str, params: dict) -> None:
     """The checks the model cannot make; its constructors make the others."""
-    if params["truncation.l_max"] < 1:
-        raise ConfigParseError("truncation.l_max must be >= 1")
+    l_min = 2 * L_STEP if scenario in _LADDERS else 1  # a ladder needs two rungs
+    if params["truncation.l_max"] < l_min:
+        raise ConfigParseError(f"truncation.l_max must be >= {l_min} for {scenario}")
     if not params["truncation.tolerance"] > 0.0:
         raise ConfigParseError("truncation.tolerance must be positive")
     if "substrate.epsilon" in params and params.get("substrate.perfect_conductor"):
@@ -184,7 +190,8 @@ def _configured(params: dict, label=None) -> tuple:
     family = params.get("geometry.family")
     if family in (None, "sphere") and abs(r_major - r_minor) <= 1e-12 * abs(r_minor):
         family, r_minor = "sphere", r_major
-    if family is None:
+    if family is None:  # the model's axis checks first: only valid axes need it
+        _built("geometry", Spheroid.prolate, r_major, r_minor)
         raise ConfigParseError("geometry.family required when r_major != r_minor")
     spheroid = _built("geometry", Spheroid, r_major, r_minor, family)
     if params.get("substrate.perfect_conductor"):
@@ -283,7 +290,7 @@ def _config_at(params: dict, spec: _Ladder, label: dict, z) -> SystemConfig:
 
 
 def _run_ladder(run: RunConfig, spec: _Ladder) -> int:
-    """Run energy_sweep over labels x grid, write the CSV, return the exit code.
+    """Run energy_sweep per label, write the CSV, return the exit code.
 
     One record per (label, z) holds the label's keys, the base columns and,
     on converged rows, the extra columns.  ``beta_local`` comes from the
@@ -292,14 +299,13 @@ def _run_ladder(run: RunConfig, spec: _Ladder) -> int:
     """
     params = run.parameters
     labels = spec.labels(params)
+    grid = spec.grid(params)
     tolerance, l_cap = params["truncation.tolerance"], params["truncation.l_max"]
-    make_config = partial(_config_at, params, spec)
-    results = energy_sweep(
-        make_config, spec.grid(params), labels, tolerance=tolerance, l_cap=l_cap
-    )
     tables = []
-    for label, (sweep, rows) in zip(labels, results):
-        betas = iter(sweep.local_exponents())
+    for label in labels:
+        configs = [_config_at(params, spec, label, z) for z in grid]
+        rows = energy_sweep(configs, tolerance=tolerance, l_cap=l_cap)
+        betas = iter(local_exponents([r.sample for r in rows if r.sample is not None]))
         records = []
         for row in rows:
             config, sample = row.config, row.sample
@@ -319,7 +325,7 @@ def _run_ladder(run: RunConfig, spec: _Ladder) -> int:
             records.append(record)
         tables.append(records)
 
-    preamble = spec.preamble(results[0][1][0].config)
+    preamble = spec.preamble(_config_at(params, spec, labels[0], grid[0]))
     columns = _BASE_COLUMNS + tuple(labels[0]) + tuple(spec.extra)
     every = [record for records in tables for record in records]
     if spec.tag is None:
@@ -342,11 +348,10 @@ _SWEEP = _Ladder(lambda _: ({},), _configured, preamble=lambda c: {"f_c": c.f_c}
 
 def _scenario_modes(run: RunConfig) -> int:
     cfg = _config_at(run.parameters, _SWEEP, {}, _z_grid(run.parameters)[0])
-    spectrum = mode_spectrum(cfg)
     columns = ("m", "mode_index", "n", "omega_over_omega_p", "multiplicity")
     records = [
         dict(zip(columns, (block.m, i, float(n), math.sqrt(n), block.multiplicity)))
-        for block in spectrum.blocks
+        for block in mode_spectrum(cfg)
         for i, n in enumerate(np.sort(block.eigenvalues))
     ]
     z_over_rmin = cfg.particle.gap / cfg.particle.spheroid.r_minor

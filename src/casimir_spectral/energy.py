@@ -12,11 +12,11 @@ sector.  Local power-law exponents are reported against ln(1 + z/r_min).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CasimirSpectralError, ConvergenceError, UndefinedExponentError
+from .errors import CasimirSpectralError, ConvergenceError
 from .model import SystemConfig
 from .spectral import mode_spectrum
 
@@ -29,7 +29,6 @@ L_STEP = 5  # rung spacing, and first rung, of the convergence ladder
 class EnergySample:
     """Dimensionless zero-point energy at one gap."""
 
-    z: float
     z_over_rmin: float
     xi: float
     l_max_used: int
@@ -37,43 +36,17 @@ class EnergySample:
     rel_change_last_step: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """Energy samples over a z-grid plus local power-law exponents."""
-
-    samples: tuple
-    label: dict = field(default_factory=dict)
-
-    @property
-    def z_over_rmin(self) -> np.ndarray:
-        return np.array([s.z_over_rmin for s in self.samples])
-
-    @property
-    def xi(self) -> np.ndarray:
-        return np.array([s.xi for s in self.samples])
-
-    def local_exponents(self) -> np.ndarray:
-        """beta at each interior grid point; NaN at the edges."""
-        beta = np.full(len(self.samples), np.nan)
-        for i in range(1, len(self.samples) - 1):
-            try:
-                beta[i] = local_exponent(self, i)
-            except UndefinedExponentError:
-                pass
-        return beta
-
-
 def zero_point_energy(config: SystemConfig) -> EnergySample:
     """Xi at fixed truncation order config.l_max."""
-    if config.f_c == 0.0:
-        xi = 0.0
-    else:
-        spectrum = mode_spectrum(config)
-        xi = 0.5 * spectrum.mode_sum(np.sqrt)
-    z = config.particle.gap
+    xi = 0.0
+    if config.f_c != 0.0:
+        xi = 0.5 * sum(
+            block.multiplicity
+            * float(np.sum(np.sqrt(block.eigenvalues) - np.sqrt(block.isolated)))
+            for block in mode_spectrum(config)
+        )
     return EnergySample(
-        z=z,
-        z_over_rmin=z / config.particle.spheroid.r_minor,
+        z_over_rmin=config.particle.gap / config.particle.spheroid.r_minor,
         xi=xi,
         l_max_used=config.l_max,
         converged=False,
@@ -93,6 +66,8 @@ def convergence_ladder(
     """
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
+    if l_cap < 2 * L_STEP:  # the ladder compares two rungs
+        raise ValueError(f"l_cap must be >= {2 * L_STEP}")
     prev = None
     history = []
     for l in range(L_STEP, l_cap + 1, L_STEP):
@@ -118,22 +93,20 @@ def convergence_ladder(
     )
 
 
-def local_exponent(sweep: SweepResult, index: int) -> float:
-    """Centered-difference beta = -d ln|Xi| / d ln(1 + z/r_min)."""
-    samples = sweep.samples
-    if len(samples) < 3:
-        raise UndefinedExponentError("need at least 3 samples")
-    if index < 1 or index > len(samples) - 2:
-        raise UndefinedExponentError("index must be interior to the grid")
-    lo, mid, hi = samples[index - 1], samples[index], samples[index + 1]
-    xis = (lo.xi, mid.xi, hi.xi)
-    if any(x == 0.0 for x in xis) or len({math.copysign(1.0, x) for x in xis}) > 1:
-        raise UndefinedExponentError(
-            "energy is zero or changes sign inside the stencil"
-        )
-    num = math.log(abs(hi.xi)) - math.log(abs(lo.xi))
-    den = math.log1p(hi.z_over_rmin) - math.log1p(lo.z_over_rmin)
-    return -num / den
+def local_exponents(samples) -> np.ndarray:
+    """Centered-difference beta = -d ln|Xi| / d ln(1 + z/r_min) at each of
+    the samples, given in ascending gap order; NaN at the edges and where
+    Xi is zero or changes sign inside the stencil."""
+    beta = np.full(len(samples), np.nan)
+    for i in range(1, len(samples) - 1):
+        lo, mid, hi = samples[i - 1], samples[i], samples[i + 1]
+        xis = (lo.xi, mid.xi, hi.xi)
+        if any(x == 0.0 for x in xis) or len({math.copysign(1.0, x) for x in xis}) > 1:
+            continue
+        num = math.log(abs(hi.xi)) - math.log(abs(lo.xi))
+        den = math.log1p(hi.z_over_rmin) - math.log1p(lo.z_over_rmin)
+        beta[i] = -num / den
+    return beta
 
 
 @dataclass(frozen=True)
@@ -141,40 +114,26 @@ class SweepRow:
     """One evaluated point in a parameter sweep: the config it was evaluated
     at, and its sample or, on failure, the error message."""
 
-    label: dict
     config: SystemConfig
     sample: EnergySample | None
     error: str | None = None
 
 
 def energy_sweep(
-    make_config,
-    z_over_rmin_grid,
-    labels=((),),
+    configs,
     tolerance: float = DEFAULT_TOLERANCE,
     l_cap: int = DEFAULT_L_CAP,
 ) -> list:
-    """Evaluate the Cartesian product labels x z-grid with the convergence
-    ladder, the one loop over gaps.  A CasimirSpectralError at a point is
+    """One row per config, in the given order, from the convergence ladder:
+    the one loop over sweep points.  A CasimirSpectralError at a point is
     recorded in its row and does not abort the sweep; any other exception
-    propagates.
-
-    ``make_config(label, z_over_rmin)`` must return a SystemConfig; it
-    receives the grid values as given (no conversion to float).  Output
-    ordering is deterministic: labels in given order, then z ascending.
-    """
-    results = []
-    z_grid = sorted(z_over_rmin_grid)
-    for label in labels:
-        rows = []
-        for z_rel in z_grid:
-            cfg = make_config(label, z_rel)
-            try:
-                sample = convergence_ladder(cfg, tolerance=tolerance, l_cap=l_cap)
-                error = None
-            except CasimirSpectralError as exc:  # recorded, not raised
-                sample, error = None, str(exc)
-            rows.append(SweepRow(dict(label), cfg, sample, error))
-        good = tuple(r.sample for r in rows if r.sample is not None)
-        results.append((SweepResult(samples=good, label=dict(label)), rows))
-    return results
+    propagates."""
+    rows = []
+    for config in configs:
+        try:
+            sample = convergence_ladder(config, tolerance=tolerance, l_cap=l_cap)
+            error = None
+        except CasimirSpectralError as exc:  # recorded, not raised
+            sample, error = None, str(exc)
+        rows.append(SweepRow(config, sample, error))
+    return rows

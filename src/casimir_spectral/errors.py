@@ -57,10 +57,6 @@ class ContractViolationError(CasimirSpectralError, ValueError):
     """An internal matrix contract (symmetry, orthogonality) was violated."""
 
 
-class UndefinedExponentError(CasimirSpectralError, ValueError):
-    """Local power-law exponent undefined (zero or sign-changing energy)."""
-
-
 class OracleError(CasimirSpectralError, RuntimeError):
     """A reference oracle failed to converge to its declared tolerance."""
 

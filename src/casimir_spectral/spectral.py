@@ -275,7 +275,6 @@ class SpectralBlock:
 
     m: int
     l_min: int
-    l_max: int
     H: np.ndarray
     isolated: np.ndarray  # ascending n_iso, the modes at infinite gap
     eigenvalues: np.ndarray  # ascending
@@ -317,7 +316,6 @@ def spectral_block(config: SystemConfig, m: int) -> SpectralBlock:
     return SpectralBlock(
         m=m,
         l_min=l_min,
-        l_max=config.l_max,
         H=H,
         isolated=np.sort(n_iso),
         eigenvalues=vals,
@@ -326,24 +324,8 @@ def spectral_block(config: SystemConfig, m: int) -> SpectralBlock:
     )
 
 
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """Coupled and isolated eigenvalue sets across all azimuthal sectors."""
-
-    blocks: tuple
-
-    def mode_sum(self, func) -> float:
-        """Sum multiplicity * sum_s [func(n_z) - func(n_inf)] over sectors,
-        pairing modes by sorted index within each sector."""
-        total = 0.0
-        for block in self.blocks:
-            total += block.multiplicity * float(
-                np.sum(func(block.eigenvalues) - func(block.isolated))
-            )
-        return total
-
-
-def mode_spectrum(config: SystemConfig) -> ModeSpectrum:
+def mode_spectrum(config: SystemConfig) -> tuple:
+    """The SpectralBlock of every sector m = 0..l_max, in order of m."""
     blocks = []
     for m in range(config.l_max + 1):
         block = spectral_block(config, m)
@@ -355,7 +337,7 @@ def mode_spectrum(config: SystemConfig) -> ModeSpectrum:
                 f"min={lo:.6g}, max={hi:.6g}; increase l_max or the gap"
             )
         blocks.append(block)
-    return ModeSpectrum(blocks=tuple(blocks))
+    return tuple(blocks)
 
 
 def effective_polarizability(config: SystemConfig, omega: float, l: int, m: int) -> float:

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from casimir_spectral.cli import main as cli_main
-from casimir_spectral.energy import convergence_ladder, energy_sweep, zero_point_energy
+from casimir_spectral.energy import (
+    convergence_ladder,
+    energy_sweep,
+    local_exponents,
+    zero_point_energy,
+)
 from casimir_spectral.model import (
     Medium,
     PlacedParticle,
@@ -195,19 +200,21 @@ def test_06_multipolar_takeover(report):
     grid = np.geomspace(0.2, 20.0, 13)
     spheroid = Spheroid.oblate(1.4, 1.0)
 
-    def make_config(label, z):
-        return SystemConfig(
+    configs = [
+        SystemConfig(
             particle=PlacedParticle(spheroid, gap=z),
             substrate_medium=Medium.perfect_conductor(),
             l_max=90,
         )
-
-    ((sweep, rows),) = energy_sweep(make_config, grid, tolerance=1e-5)
+        for z in grid
+    ]
+    rows = energy_sweep(configs, tolerance=1e-5)
     assert all(row.sample is not None for row in rows)
-    betas = sweep.local_exponents()
+    samples = [row.sample for row in rows]
+    betas = local_exponents(samples)
     inner = betas[1:-1]
     assert np.all(np.diff(inner) < 0.0), "beta must decrease with z"
-    orders = [s.l_max_used for s in sweep.samples]
+    orders = [s.l_max_used for s in samples]
     assert all(a >= b for a, b in zip(orders, orders[1:]))
     report["passed"] = True
     report["detail"] = (
@@ -226,16 +233,17 @@ def test_07_substrate_ordering(report):
             Medium.perfect_conductor() if epsilon is None else Medium.constant(epsilon)
         )
 
-        def make_config(label, z):
-            return SystemConfig(
+        configs = [
+            SystemConfig(
                 particle=PlacedParticle(spheroid, gap=z),
                 substrate_medium=substrate,
                 l_max=90,
             )
-
-        ((sweep, rows),) = energy_sweep(make_config, grid)
+            for z in grid
+        ]
+        rows = energy_sweep(configs)
         assert all(row.sample is not None for row in rows)
-        curves.append(np.abs(sweep.xi))
+        curves.append(np.abs([row.sample.xi for row in rows]))
     margins = []
     for strong, weak in zip(curves, curves[1:]):
         assert np.all(strong > weak)
@@ -254,16 +262,17 @@ def test_08_prolate_regime_crossover(report):
     for aspect in (1.2, 1.6, 2.0):
         spheroid = Spheroid.prolate(aspect, 1.0)
 
-        def make_config(label, z):
-            return SystemConfig(
+        configs = [
+            SystemConfig(
                 particle=PlacedParticle(spheroid, gap=z),
                 substrate_medium=Medium.constant(3.12),
                 l_max=90,
             )
-
-        ((sweep, rows),) = energy_sweep(make_config, grid)
+            for z in grid
+        ]
+        rows = energy_sweep(configs)
         assert all(row.sample is not None for row in rows)
-        curves[aspect] = np.abs(sweep.xi)
+        curves[aspect] = np.abs([row.sample.xi for row in rows])
 
     def order_at(z_target):
         i = int(np.argmin(np.abs(grid - z_target)))

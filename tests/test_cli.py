@@ -93,6 +93,7 @@ REJECTED = {
     "unknown_family": ("modes", {"geometry.family": "cube"}),
     "substrate_epsilon_negative": ("modes", {"substrate.epsilon": "-2"}),
     "ambient_epsilon_zero": ("modes", {"ambient.epsilon": "0"}),
+    "ladder_cap_below_two_rungs": ("energy_sweep", {"truncation.l_max": "9"}),
 }
 
 
@@ -141,7 +142,7 @@ class TestParseConfig:
         assert info.value.line == 1
 
     def test_negative_length(self):
-        with pytest.raises(ConfigParseError):
+        with pytest.raises(ConfigParseError, match="semi-axes must be positive"):
             parse_config(
                 "geometry.r_minor = -1\nsubstrate.epsilon = 2.0",
                 scenario="modes",
@@ -153,6 +154,10 @@ class TestParseConfig:
             parse_config(text, scenario="modes")
         cfg = parse_config(text + "\ngeometry.family = prolate", scenario="modes")
         assert cfg.parameters["geometry.family"] == "prolate"
+        # axes that no family accepts are reported as such
+        swapped = "geometry.r_major = 1.0\ngeometry.r_minor = 2.0\nsubstrate.epsilon = 2.0"
+        with pytest.raises(ConfigParseError, match="r_major must be >= r_minor"):
+            parse_config(swapped, scenario="modes")
 
     def test_exclusive_substrate_keys(self):
         with pytest.raises(ConfigParseError):

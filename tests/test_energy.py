@@ -7,13 +7,13 @@ import pytest
 
 from casimir_spectral import energy
 from casimir_spectral.energy import (
-    SweepResult,
+    EnergySample,
     convergence_ladder,
     energy_sweep,
-    local_exponent,
+    local_exponents,
     zero_point_energy,
 )
-from casimir_spectral.errors import ConvergenceError, UndefinedExponentError
+from casimir_spectral.errors import ConvergenceError
 from casimir_spectral.model import (
     Medium,
     PlacedParticle,
@@ -104,6 +104,11 @@ class TestConvergenceLadder:
             convergence_ladder(cfg, l_cap=15)
         assert "history" in info.value.diagnostics
 
+    def test_cap_below_two_rungs_raises(self):
+        # rungs are l = 5, 10, ...: a cap below 10 would compare no two rungs
+        with pytest.raises(ValueError, match="l_cap"):
+            convergence_ladder(_sphere_config(1.0), l_cap=9)
+
     def test_l_max_used_decreases_with_distance(self):
         orders = [
             convergence_ladder(_sphere_config(z, l_max=90)).l_max_used
@@ -112,55 +117,52 @@ class TestConvergenceLadder:
         assert orders[0] >= orders[1] >= orders[2]
 
 
+def _samples(z_over_rmin, xi):
+    return [
+        EnergySample(z_over_rmin=z, xi=x, l_max_used=5, converged=True,
+                     rel_change_last_step=0.0)
+        for z, x in zip(z_over_rmin, xi)
+    ]
+
+
 class TestSweep:
     def test_sweep_orders_and_exponents(self):
         grid = np.geomspace(1.0, 8.0, 6)
-
-        def make_config(label, z):
-            return _sphere_config(z, l_max=60)
-
-        ((sweep, rows),) = energy_sweep(make_config, grid)
+        rows = energy_sweep([_sphere_config(z, l_max=60) for z in grid])
         assert len(rows) == 6
         assert all(row.sample is not None for row in rows)
-        zs = sweep.z_over_rmin
+        zs = np.array([row.sample.z_over_rmin for row in rows])
         assert np.all(np.diff(zs) > 0)
-        betas = sweep.local_exponents()
+        betas = local_exponents([row.sample for row in rows])
         assert math.isnan(betas[0]) and math.isnan(betas[-1])
         inner = betas[1:-1]
         assert np.all((inner > 2.5) & (inner < 5.5))
 
     def test_local_exponent_far_limit(self):
         grid = np.geomspace(10.0, 14.0, 3)
-
-        def make_config(label, z):
-            return _sphere_config(z, l_max=30)
-
-        ((sweep, _),) = energy_sweep(make_config, grid)
-        beta = local_exponent(sweep, 1)
+        rows = energy_sweep([_sphere_config(z, l_max=30) for z in grid])
+        beta = local_exponents([row.sample for row in rows])[1]
         assert beta == pytest.approx(3.0, abs=0.1)
 
     def test_undefined_exponent(self):
-        from casimir_spectral.energy import EnergySample
+        # a zero or a sign change inside a stencil leaves NaN there only
+        zs = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        betas = local_exponents(_samples(zs, (-8.0, 0.0, -2.0, -1.0, -0.5, -0.25)))
+        assert np.isfinite(betas).tolist() == [False, False, False, True, True, False]
+        betas = local_exponents(_samples(zs, (-8.0, -4.0, -2.0, -1.0, 0.5, -0.25)))
+        assert np.isfinite(betas).tolist() == [False, True, True, False, False, False]
 
-        samples = tuple(
-            EnergySample(z=z, z_over_rmin=z, xi=0.0, l_max_used=5,
-                         converged=True, rel_change_last_step=0.0)
-            for z in (1.0, 2.0, 3.0)
-        )
-        sweep = SweepResult(samples=samples, label={})
-        with pytest.raises(UndefinedExponentError):
-            local_exponent(sweep, 1)
+    def test_exponents_need_three_samples(self):
+        for n in (0, 1, 2):
+            betas = local_exponents(_samples((1.0, 2.0)[:n], (-2.0, -1.0)[:n]))
+            assert betas.shape == (n,) and np.isnan(betas).all()
 
     def test_errors_recorded_in_rows(self):
         grid = [0.01, 5.0]
-
-        def make_config(label, z):
-            return _sphere_config(z, l_max=15)
-
-        ((sweep, rows),) = energy_sweep(make_config, grid, l_cap=15)
+        rows = energy_sweep([_sphere_config(z, l_max=15) for z in grid], l_cap=15)
         assert rows[0].sample is None and rows[0].error
         assert rows[1].sample is not None
-        assert len(sweep.samples) == 1
+        assert [row.config.particle.gap for row in rows] == grid
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken_ladder(config, **kwargs):
@@ -168,4 +170,4 @@ class TestSweep:
 
         monkeypatch.setattr(energy, "convergence_ladder", broken_ladder)
         with pytest.raises(TypeError):
-            energy_sweep(lambda label, z: _sphere_config(z), [1.0, 2.0])
+            energy_sweep([_sphere_config(z) for z in (1.0, 2.0)])

@@ -133,8 +133,7 @@ class TestSpectralBlocks:
 
     def test_multiplicity(self):
         cfg = _config(Spheroid.sphere(1.0), 1.0, Medium.perfect_conductor(), l_max=6)
-        spectrum = mode_spectrum(cfg)
-        mult = {b.m: b.multiplicity for b in spectrum.blocks}
+        mult = {b.m: b.multiplicity for b in mode_spectrum(cfg)}
         assert mult[0] == 1
         assert all(mult[m] == 2 for m in range(1, 7))
 
