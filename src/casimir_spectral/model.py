@@ -164,8 +164,8 @@ class Medium:
             if self.epsilon is None or not 0.0 < self.epsilon < math.inf:
                 raise InvalidMediumError("constant medium requires finite epsilon > 0")
         elif self.kind is MediumKind.DRUDE:
-            if self.omega_p is None or not self.omega_p > 0.0:
-                raise InvalidMediumError("Drude medium requires omega_p > 0")
+            if self.omega_p is None or not 0.0 < self.omega_p < math.inf:
+                raise InvalidMediumError("Drude medium requires finite omega_p > 0")
 
     @classmethod
     def constant(cls, epsilon: float) -> "Medium":

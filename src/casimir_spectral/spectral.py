@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 from scipy.special import gammaln
 
 from .errors import (
@@ -56,8 +56,9 @@ from .specfun import (
 
 _SYM_TOL = 1e-9
 # cells (l, point) summed over the sectors of one block of mirror tables:
-# bounds the memory a block holds while keeping its l loops few
-_BLOCK_CELLS = 1 << 15
+# bounds the memory a block holds while keeping its l loops few (one block
+# is held at a time)
+_BLOCK_CELLS = 1 << 16
 
 
 # continuation sign of each spheroidal family: w = x^2 - sigma
@@ -86,8 +87,34 @@ def _block_row(build, key, start: int, m: int):
     block built from m when that block stopped at a failing sector below m."""
     ms, tables = build(*key, start)
     if m not in ms:
+        del tables  # held here, the old block would outlive its cache slot
         ms, tables = build(*key, m)
     return tuple(t[m - ms.start] for t in tables)
+
+
+def _recent(maxsize: int, lead: int = 0):
+    """Cache of a builder's most recent results, at most maxsize, all with
+    the same first lead arguments.  What a call would push out (the oldest
+    result, or every result when the leading arguments change) is dropped
+    before the new result is built, so the two never share memory."""
+
+    def decorate(build):
+        held = {}
+
+        @wraps(build)
+        def cached(*key):
+            if key not in held:
+                if held and next(iter(held))[:lead] != key[:lead]:
+                    held.clear()
+                while len(held) >= maxsize:
+                    del held[next(iter(held))]
+                held[key] = build(*key)
+            return held[key]
+
+        cached.cache_clear = held.clear
+        return cached
+
+    return decorate
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +131,12 @@ def _read_only(*tables):
     return tables
 
 
-@lru_cache(maxsize=1)
+# A ladder climbs the rungs l_max = 5, 10, ..., l_cap (18 at l_cap = 90),
+# and every gap point of a sweep over one spheroid climbs the same rungs:
+# 32 blocks hold one spheroid's whole ladder (about 1.2 MiB at l_cap = 90),
+# so a sweep builds each rung's surface tables once.  Another spheroid
+# drops them, since its points would never reuse them.
+@_recent(maxsize=32, lead=1)
 def _surface_block(spheroid: Spheroid, l_max: int, start: int):
     """Read-only n_iso, signed normalization weights c and nP at the
     surface xi0 of a spheroid, l = 0..l_max, for the sectors from start
@@ -192,7 +224,7 @@ def _block_size(l_max: int) -> int:
     return max(1, _BLOCK_CELLS // ((l_max + 2) * (2 * l_max + 64)))
 
 
-@lru_cache(maxsize=1)
+@_recent(maxsize=1)
 def _mirror_block(particle: PlacedParticle, l_max: int, start: int):
     """What _spheroid_coupling needs of the sectors of one block from start:
     the reflected harmonics psi = nQ(xi_m) Pbar(eta_m) at the mirror points
@@ -292,11 +324,30 @@ def eigendecompose(H: np.ndarray):
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ContractViolationError("H must be a square matrix")
-    scale = max(np.max(np.abs(H)), 1e-300)
-    if not np.max(np.abs(H - H.T)) <= _SYM_TOL * scale:  # NaN fails too
+    scale = np.max(np.abs(H))
+    # NaN fails both comparisons, an inf entry the first
+    if not (
+        scale < math.inf and np.max(np.abs(H - H.T)) <= _SYM_TOL * max(scale, 1e-300)
+    ):
         raise ContractViolationError("H is not finite and symmetric within tolerance")
-    vals, vecs = eigh(0.5 * (H + H.T))
+    # LAPACK's dsyevr with the arguments and workspace scipy.linalg.eigh
+    # gives it, without eigh's per-call argument handling
+    lwork, liwork = _syevr_workspace(len(H))
+    vals, vecs, _, _, info = dsyevr(
+        0.5 * (H + H.T), compute_v=1, lower=1, lwork=lwork, liwork=liwork
+    )
+    if info != 0:
+        raise ContractViolationError(f"LAPACK dsyevr failed with info = {info}")
     return vals, vecs, vecs**2
+
+
+@lru_cache(maxsize=None)
+def _syevr_workspace(n: int) -> tuple:
+    """(lwork, liwork) that dsyevr asks for at order n, as eigh queries them."""
+    work, iwork, info = dsyevr_lwork(n, lower=1)
+    if info != 0:
+        raise ContractViolationError(f"LAPACK dsyevr_lwork failed with info = {info}")
+    return int(work), int(iwork)
 
 
 def spectral_block(config: SystemConfig, m: int) -> SpectralBlock:

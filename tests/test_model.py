@@ -106,6 +106,11 @@ class TestMedia:
         with pytest.raises(InvalidMediumError):
             SystemConfig(particle, Medium.constant(3.12), ambient_epsilon=eps)
 
+    @pytest.mark.parametrize("omega_p", [math.inf, math.nan])
+    def test_non_finite_omega_p_rejected(self, omega_p):
+        with pytest.raises(InvalidMediumError):
+            Medium.drude(omega_p)
+
     def test_drude_spectral_variable(self):
         drude = Medium.drude(1.0)
         # u = (omega / omega_p)^2 for a Drude particle in vacuum

@@ -1,11 +1,13 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from casimir_spectral import spectral
-from casimir_spectral.energy import zero_point_energy
+from casimir_spectral.energy import energy_sweep, zero_point_energy
 from casimir_spectral.errors import (
     CasimirSpectralError,
     ContractViolationError,
@@ -172,6 +174,14 @@ class TestSpectralBlocks:
         cfg = _config(Spheroid.prolate(2.0, 1.0), 0.5, Medium.constant(3.12), l_max=10)
         mode_spectrum(cfg)
         assert calls == {"leggauss": 1, "prolate_radial_table": 2}
+        # the next gap point of a sweep climbs the same rungs on the same
+        # spheroid: it reuses every rung's surface tables and builds only
+        # its mirror blocks, one radial call per rung
+        mode_spectrum(cfg.with_l_max(5))
+        assert calls == {"leggauss": 2, "prolate_radial_table": 4}
+        for l_max in (5, 10):
+            mode_spectrum(_config(cfg.particle.spheroid, 0.8, Medium.constant(3.12), l_max))
+        assert calls == {"leggauss": 2, "prolate_radial_table": 6}
         # the cached tables cannot be changed by a caller
         table = isolated_depolarization_table(cfg.particle.spheroid, 10, 10)
         assert not table.flags.writeable
@@ -187,6 +197,47 @@ class TestSpectralBlocks:
         spectral._mirror_block.cache_clear()
         for m in (7, 3, 12, 0, 8):
             assert np.array_equal(spectral_block(cfg, m).H, blocked[m])
+
+    def test_mirror_block_freed_before_next(self, monkeypatch):
+        # one sector per block: when a block's radial call runs, the block
+        # before it is no longer held by the cache
+        cfg = _config(Spheroid.prolate(2.0, 1.0), 0.3, Medium.constant(3.12), l_max=6)
+        original = spectral.prolate_radial_table
+        previous = []
+        built = []
+
+        def radial(m, l_max, x, **kwargs):
+            if len(x) > 1:  # the mirror points, not the one surface point
+                built.append(all(ref() is None for ref in previous))
+            return original(m, l_max, x, **kwargs)
+
+        monkeypatch.setattr(spectral, "prolate_radial_table", radial)
+        monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1)
+        spectral._mirror_block.cache_clear()
+        for m in range(cfg.l_max + 1):
+            spectral_block(cfg, m)
+            _, (psi, _) = spectral._mirror_block(cfg.particle, cfg.l_max, m)
+            previous.append(weakref.ref(psi))
+            del psi
+        assert built == [True] * (cfg.l_max + 1)
+
+    def test_surface_blocks_dropped_with_their_spheroid(self, monkeypatch):
+        # the blocks of one spheroid leave the cache before the first block
+        # of the next spheroid is built
+        prolate = Spheroid.prolate(2.0, 1.0)
+        spectral._surface_block.cache_clear()
+        refs = [weakref.ref(spectral._surface_block(prolate, l_max, 0)[1][0]) for l_max in (5, 10)]
+        assert all(ref() is not None for ref in refs)
+        original = spectral.oblate_radial_table
+        dropped = []
+
+        def radial(*args, **kwargs):
+            dropped.append(all(ref() is None for ref in refs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "oblate_radial_table", radial)
+        spectral._surface_block(Spheroid.oblate(1.4, 1.0), 5, 0)
+        assert dropped == [True]
 
     def test_failing_sector_raises_in_turn(self):
         # near x = 1 the high orders overflow at l_max = 90: a block keeps
@@ -230,6 +281,62 @@ class TestSpectralBlocks:
         H[0, 1] = np.nan
         with pytest.raises(ContractViolationError):
             spectral.eigendecompose(H)
+
+    def test_inf_fails_finiteness_check(self):
+        # one inf entry: |H - H^T| is inf, which the inf scale would allow
+        H = np.eye(3)
+        H[0, 1] = np.inf
+        with pytest.raises(ContractViolationError):
+            spectral.eigendecompose(H)
+
+    def test_eigendecompose_matches_eigh(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 92):
+            A = rng.standard_normal((n, n))
+            H = 0.5 * (A + A.T)
+            vals, vecs, C = spectral.eigendecompose(H)
+            ref_vals, ref_vecs = scipy.linalg.eigh(H)
+            assert np.array_equal(vals, ref_vals)
+            assert np.array_equal(vecs, ref_vecs)
+            assert np.array_equal(C, ref_vecs**2)
+
+    def test_driver_failure_raises_package_error(self, monkeypatch):
+        def failing(a, **kwargs):
+            n = len(a)
+            return np.zeros(n), np.zeros((n, n)), n, np.zeros(2 * n, dtype=np.int32), 1
+
+        monkeypatch.setattr(spectral, "dsyevr", failing)
+        with pytest.raises(ContractViolationError):
+            spectral.eigendecompose(np.eye(3))
+
+
+class TestCacheWarmth:
+    @pytest.mark.parametrize(
+        "spheroid",
+        [Spheroid.prolate(2.0, 1.0), Spheroid.oblate(1.4, 1.0), Spheroid.sphere(1.0)],
+        ids=["prolate", "oblate", "sphere"],
+    )
+    def test_sweep_points_do_not_depend_on_cache_state(self, spheroid):
+        # the tables a point reuses from earlier points are those it would
+        # build itself: warm and cold give the same digits
+        configs = [
+            SystemConfig(PlacedParticle(spheroid, gap=z * spheroid.r_minor), Medium.constant(3.12))
+            for z in (0.3, 0.5, 0.8, 1.2, 2.0, 4.0)
+        ]
+
+        def clear():
+            spectral._quad_nodes.cache_clear()
+            spectral._surface_block.cache_clear()
+            spectral._mirror_block.cache_clear()
+
+        clear()
+        warm = [repr(row) for row in energy_sweep(configs, l_cap=40)]
+        cold = []
+        for config in configs:
+            clear()
+            cold.append(repr(energy_sweep([config], l_cap=40)[0]))
+        assert all(row.endswith("error=None)") for row in cold)
+        assert warm == cold
 
 
 class TestEffectivePolarizability:
