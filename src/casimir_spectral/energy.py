@@ -95,8 +95,9 @@ def convergence_ladder(
 
 def local_exponents(samples) -> np.ndarray:
     """Centered-difference beta = -d ln|Xi| / d ln(1 + z/r_min) at each of
-    the samples, given in ascending gap order; NaN at the edges and where
-    Xi is zero or changes sign inside the stencil."""
+    the samples, given in ascending gap order; NaN at the edges, where
+    Xi is zero or changes sign inside the stencil, and where the stencil's
+    outer gaps are equal."""
     beta = np.full(len(samples), np.nan)
     for i in range(1, len(samples) - 1):
         lo, mid, hi = samples[i - 1], samples[i], samples[i + 1]
@@ -105,7 +106,8 @@ def local_exponents(samples) -> np.ndarray:
             continue
         num = math.log(abs(hi.xi)) - math.log(abs(lo.xi))
         den = math.log1p(hi.z_over_rmin) - math.log1p(lo.z_over_rmin)
-        beta[i] = -num / den
+        if den != 0.0:
+            beta[i] = -num / den
     return beta
 
 

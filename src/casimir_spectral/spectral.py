@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -32,7 +32,6 @@ from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 from scipy.special import gammaln
 
 from .errors import (
-    ContactError,
     ContractViolationError,
     PoleError,
     SpecFunDomainError,
@@ -82,39 +81,25 @@ def _radial_rows(sigma: float, ms: range, l_max: int, coord, derivatives: bool):
         return ms, table(ms, l_max, coord, derivatives=derivatives)
 
 
-def _block_row(build, key, start: int, m: int):
-    """Sector m's tables from the cached block build(*key, start), or from a
-    block built from m when that block stopped at a failing sector below m."""
-    ms, tables = build(*key, start)
-    if m not in ms:
-        del tables  # held here, the old block would outlive its cache slot
-        ms, tables = build(*key, m)
+@lru_cache(maxsize=1)
+def _held(spheroid: Spheroid) -> dict:
+    """The tables kept for the last spheroid asked for: its surface block
+    of every rung it has climbed, under l_max, and one block of mirror
+    tables, under "mirror".  A new spheroid's empty dict replaces the old
+    one before any of its tables is built."""
+    return {}
+
+
+def _row(held: dict, slot, build, key: tuple, m: int):
+    """Sector m's tables from the block in held[slot] when that block was
+    built from key and holds m; else from a new block build(*key, m), built
+    after the old one is dropped, so the two never share memory."""
+    block = held.get(slot)
+    if block is None or block[0] != key or m not in block[1]:
+        block = held[slot] = None  # neither reference may outlive the build
+        block = held[slot] = (key, *build(*key, m))
+    _, ms, tables = block
     return tuple(t[m - ms.start] for t in tables)
-
-
-def _recent(maxsize: int, lead: int = 0):
-    """Cache of a builder's most recent results, at most maxsize, all with
-    the same first lead arguments.  What a call would push out (the oldest
-    result, or every result when the leading arguments change) is dropped
-    before the new result is built, so the two never share memory."""
-
-    def decorate(build):
-        held = {}
-
-        @wraps(build)
-        def cached(*key):
-            if key not in held:
-                if held and next(iter(held))[:lead] != key[:lead]:
-                    held.clear()
-                while len(held) >= maxsize:
-                    del held[next(iter(held))]
-                held[key] = build(*key)
-            return held[key]
-
-        cached.cache_clear = held.clear
-        return cached
-
-    return decorate
 
 
 @lru_cache(maxsize=None)
@@ -131,18 +116,17 @@ def _read_only(*tables):
     return tables
 
 
-# A ladder climbs the rungs l_max = 5, 10, ..., l_cap (18 at l_cap = 90),
-# and every gap point of a sweep over one spheroid climbs the same rungs:
-# 32 blocks hold one spheroid's whole ladder (about 1.2 MiB at l_cap = 90),
-# so a sweep builds each rung's surface tables once.  Another spheroid
-# drops them, since its points would never reuse them.
-@_recent(maxsize=32, lead=1)
-def _surface_block(spheroid: Spheroid, l_max: int, start: int):
+# A ladder climbs the rungs l_max = 5, 10, ..., l_cap, and every gap point
+# of a sweep over one spheroid climbs the same rungs: _held keeps each
+# rung's surface block (1.25 MiB for the 18 rungs of l_cap = 90, 12.86 MiB
+# for the 40 of l_cap = 200), so a sweep builds each rung's surface tables
+# once.  Another spheroid drops them, since its points would never reuse
+# them.
+def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
     """Read-only n_iso, signed normalization weights c and nP at the
     surface xi0 of a spheroid, l = 0..l_max, for the sectors from start
-    (0 unless a sector below failed) up to l_max, from one one-point radial
-    call; they serve both isolated_depolarization_table and
-    _spheroid_coupling."""
+    up to l_max, from one one-point radial call; they serve both
+    isolated_depolarization_table and _spheroid_coupling."""
     sigma = _SIGMA[spheroid.family]
     x0 = spheroid_xi0(spheroid)
     ms, (nP, ndP, nQ, _) = _radial_rows(
@@ -160,12 +144,20 @@ def _surface_block(spheroid: Spheroid, l_max: int, start: int):
 
 def _surface_table(spheroid: Spheroid, m: int, l_max: int):
     """n_iso, c and nP0 of sector m, from the rung's surface block."""
-    return _block_row(_surface_block, (spheroid, l_max), 0, m)
+    return _row(_held(spheroid), l_max, _surface_tables, (spheroid, l_max), m)
+
+
+def _check_sector(m: int, l_max: int) -> None:
+    if not 0 <= m <= l_max or l_max < 1:
+        raise SpecFunDomainError(
+            f"need 0 <= m <= l_max and l_max >= 1, got m={m}, l_max={l_max}"
+        )
 
 
 def isolated_depolarization_table(spheroid: Spheroid, m: int, l_max: int) -> np.ndarray:
     """n_lm(infinity) for l = m..l_max (entries below l=m are zero).
     A spheroid's table is read-only."""
+    _check_sector(m, l_max)
     if spheroid.family is Family.SPHERE:
         l = np.arange(l_max + 1, dtype=float)
         out = np.where(l >= 1, l / (2.0 * l + 1.0), 0.0)
@@ -218,14 +210,7 @@ def _invert(rho, z, F, sigma):
     return xi, np.clip(eta, -1.0, 1.0)
 
 
-def _block_size(l_max: int) -> int:
-    """Sectors per mirror block; a sector's tables have up to l_max + 2
-    rows over the 2 l_max + 64 Gauss nodes."""
-    return max(1, _BLOCK_CELLS // ((l_max + 2) * (2 * l_max + 64)))
-
-
-@_recent(maxsize=1)
-def _mirror_block(particle: PlacedParticle, l_max: int, start: int):
+def _mirror_tables(particle: PlacedParticle, l_max: int, start: int):
     """What _spheroid_coupling needs of the sectors of one block from start:
     the reflected harmonics psi = nQ(xi_m) Pbar(eta_m) at the mirror points
     (xi_m, eta_m) of the Gauss nodes eta, which do not depend on m, and the
@@ -242,7 +227,9 @@ def _mirror_block(particle: PlacedParticle, l_max: int, start: int):
     z_m = -2.0 * particle.center_height - z_s
     xi_m, eta_m = _invert(rho, z_m, F, sigma)
 
-    stop = min(start + _block_size(l_max), l_max + 1)
+    # a sector's tables have up to l_max + 2 rows over the 2 l_max + 64 nodes
+    per_block = max(1, _BLOCK_CELLS // ((l_max + 2) * (2 * l_max + 64)))
+    stop = min(start + per_block, l_max + 1)
     ms, (_, _, nQ_m, _) = _radial_rows(sigma, range(start, stop), l_max, xi_m, False)
     psi = normalized_ferrers_table(ms, l_max, eta_m)
     psi *= nQ_m
@@ -264,8 +251,8 @@ def _spheroid_coupling(particle: PlacedParticle, m: int, l_max: int) -> np.ndarr
         )
     w_amp = np.sqrt(np.abs(c_block))
 
-    start = m - m % _block_size(l_max)
-    psi, weighted = _block_row(_mirror_block, (particle, l_max), start, m)
+    held = _held(particle.spheroid)
+    psi, weighted = _row(held, "mirror", _mirror_tables, (particle, l_max), m)
     # proj[n, s] = int Pbar_n psi_s d(eta)
     proj = weighted[l_min:] @ psi[l_min:].T
     K = proj / nP0[l_min:, None]
@@ -286,14 +273,7 @@ def coupling_matrix_D(particle: PlacedParticle, m: int, l_max: int) -> np.ndarra
     Indexed by l = max(1, m)..l_max.  Every entry decays like
     (scale/2d)^{l+s+1} as the center height d grows.
     """
-    if particle.gap <= 0.0:
-        raise ContactError("gap must be positive")
-    if m < 0:
-        raise SpecFunDomainError("m must be >= 0")
-    if l_max < max(1, m):
-        raise SpecFunDomainError(
-            f"l_max={l_max} too small to represent azimuthal number m={m}"
-        )
+    _check_sector(m, l_max)
     if particle.spheroid.family is Family.SPHERE:
         return _sphere_coupling(
             particle.spheroid.r_major, particle.center_height, m, l_max

@@ -152,6 +152,11 @@ class TestSweep:
         betas = local_exponents(_samples(zs, (-8.0, -4.0, -2.0, -1.0, 0.5, -0.25)))
         assert np.isfinite(betas).tolist() == [False, True, True, False, False, False]
 
+    def test_repeated_gaps_give_nan(self):
+        # equal outer gaps leave the centred difference undefined
+        betas = local_exponents(_samples((0.2, 0.2, 0.2), (-1.0, -1.0, -1.0)))
+        assert np.isnan(betas).all()
+
     def test_exponents_need_three_samples(self):
         for n in (0, 1, 2):
             betas = local_exponents(_samples((1.0, 2.0)[:n], (-2.0, -1.0)[:n]))

@@ -12,6 +12,7 @@ from casimir_spectral.errors import (
     CasimirSpectralError,
     ContractViolationError,
     PoleError,
+    SpecFunDomainError,
     SpecFunOverflowError,
 )
 from casimir_spectral.model import (
@@ -169,8 +170,7 @@ class TestSpectralBlocks:
         counting("leggauss")
         counting("prolate_radial_table")
         spectral._quad_nodes.cache_clear()
-        spectral._surface_block.cache_clear()
-        spectral._mirror_block.cache_clear()
+        spectral._held.cache_clear()
         cfg = _config(Spheroid.prolate(2.0, 1.0), 0.5, Medium.constant(3.12), l_max=10)
         mode_spectrum(cfg)
         assert calls == {"leggauss": 1, "prolate_radial_table": 2}
@@ -194,7 +194,7 @@ class TestSpectralBlocks:
         blocked = [spectral_block(cfg, m).H for m in range(13)]
         # one sector per block, requested out of order
         monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1)
-        spectral._mirror_block.cache_clear()
+        spectral._held.cache_clear()
         for m in (7, 3, 12, 0, 8):
             assert np.array_equal(spectral_block(cfg, m).H, blocked[m])
 
@@ -213,10 +213,11 @@ class TestSpectralBlocks:
 
         monkeypatch.setattr(spectral, "prolate_radial_table", radial)
         monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1)
-        spectral._mirror_block.cache_clear()
+        spectral._held.cache_clear()
         for m in range(cfg.l_max + 1):
             spectral_block(cfg, m)
-            _, (psi, _) = spectral._mirror_block(cfg.particle, cfg.l_max, m)
+            _, ms, (psi, _) = spectral._held(cfg.particle.spheroid)["mirror"]
+            assert ms == range(m, m + 1)
             previous.append(weakref.ref(psi))
             del psi
         assert built == [True] * (cfg.l_max + 1)
@@ -225,8 +226,10 @@ class TestSpectralBlocks:
         # the blocks of one spheroid leave the cache before the first block
         # of the next spheroid is built
         prolate = Spheroid.prolate(2.0, 1.0)
-        spectral._surface_block.cache_clear()
-        refs = [weakref.ref(spectral._surface_block(prolate, l_max, 0)[1][0]) for l_max in (5, 10)]
+        spectral._held.cache_clear()
+        for l_max in (5, 10):
+            spectral._surface_table(prolate, 0, l_max)
+        refs = [weakref.ref(spectral._held(prolate)[l_max][2][0]) for l_max in (5, 10)]
         assert all(ref() is not None for ref in refs)
         original = spectral.oblate_radial_table
         dropped = []
@@ -236,8 +239,59 @@ class TestSpectralBlocks:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "oblate_radial_table", radial)
-        spectral._surface_block(Spheroid.oblate(1.4, 1.0), 5, 0)
+        spectral._surface_table(Spheroid.oblate(1.4, 1.0), 0, 5)
         assert dropped == [True]
+
+    def test_whole_ladder_kept(self, monkeypatch):
+        # every rung of a ladder up to l_cap = 200 keeps its surface block,
+        # so the next gap point builds none of them again
+        spheroid = Spheroid.prolate(2.0, 1.0)
+        original = spectral.prolate_radial_table
+        surface = []
+
+        def radial(m, l_max, x, **kwargs):
+            surface.append(l_max)
+            return original(m, l_max, x, **kwargs)
+
+        monkeypatch.setattr(spectral, "prolate_radial_table", radial)
+        spectral._held.cache_clear()
+        rungs = range(5, 201, 5)
+        for _ in range(2):
+            for l_max in rungs:
+                isolated_depolarization_table(spheroid, 0, l_max)
+        assert surface == list(rungs)
+
+    @pytest.mark.parametrize(
+        "spheroid",
+        [Spheroid.sphere(1.0), Spheroid.prolate(2.0, 1.0), Spheroid.oblate(1.4, 1.0)],
+        ids=["sphere", "prolate", "oblate"],
+    )
+    @pytest.mark.parametrize("m", [-1, 6])
+    @pytest.mark.parametrize(
+        "substrate", [Medium.constant(1.0), Medium.constant(3.12)], ids=["f_c=0", "f_c<0"]
+    )
+    def test_sector_outside_truncation_raises(self, spheroid, m, substrate):
+        cfg = _config(spheroid, 0.5, substrate, l_max=5)
+        with pytest.raises(SpecFunDomainError):
+            spectral_block(cfg, m)
+        with pytest.raises(SpecFunDomainError):
+            isolated_depolarization_table(spheroid, m, cfg.l_max)
+        with pytest.raises(SpecFunDomainError):
+            coupling_matrix_D(cfg.particle, m, cfg.l_max)
+
+    def test_failing_sector_spares_the_others(self):
+        # the needle's surface tables overflow from order 69 at l_max = 90:
+        # that sector raises, and the sectors below it are still served
+        e = 1.0 / (1.0 + 1e-9)
+        needle = Spheroid.prolate(1.0, math.sqrt(1.0 - e * e))
+        cfg = _config(needle, 0.5, Medium.constant(3.12), l_max=90)
+        with pytest.raises(SpecFunOverflowError) as info:
+            spectral_block(cfg, 69)
+        assert info.value.m == 69
+        spectral_block(cfg, 0)
+        spectral_block(_config(needle, 0.5, Medium.constant(1.0), l_max=90), 68)
+        with pytest.raises(ContractViolationError):
+            spectral_block(cfg, 68)
 
     def test_failing_sector_raises_in_turn(self):
         # near x = 1 the high orders overflow at l_max = 90: a block keeps
@@ -326,8 +380,7 @@ class TestCacheWarmth:
 
         def clear():
             spectral._quad_nodes.cache_clear()
-            spectral._surface_block.cache_clear()
-            spectral._mirror_block.cache_clear()
+            spectral._held.cache_clear()
 
         clear()
         warm = [repr(row) for row in energy_sweep(configs, l_cap=40)]
