@@ -45,9 +45,10 @@ def log_factorial(n: int) -> float:
 
 def _cf_extra_terms(theta_min: float) -> int:
     """Downward-recurrence buffer: enough steps that the minimal solution
-    dominates to ~1e-18, with per-step decay exp(-2*theta)."""
-    if theta_min <= 0.0:
-        return _CF_CAP
+    dominates to ~1e-18, with per-step decay exp(-2*theta).  Raises where
+    _CF_CAP steps fall short: spheroids of aspect above coth(21/_CF_CAP) ~ 190."""
+    if theta_min * _CF_CAP < 21.0:
+        raise SpecFunDomainError(f"Q continued fraction cannot converge: theta={theta_min:.3g}")
     return min(_CF_CAP, max(60, int(42.0 / theta_min) + 10))
 
 

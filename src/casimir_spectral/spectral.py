@@ -83,23 +83,11 @@ def _radial_rows(sigma: float, ms: range, l_max: int, coord, derivatives: bool):
 
 @lru_cache(maxsize=1)
 def _held(spheroid: Spheroid) -> dict:
-    """The tables kept for the last spheroid asked for: its surface block
-    of every rung it has climbed, under l_max, and one block of mirror
-    tables, under "mirror".  A new spheroid's empty dict replaces the old
-    one before any of its tables is built."""
+    """The tables kept for the last spheroid asked for, each as (key, ms,
+    tables): "surface", the surface block of its largest rung l_max = key,
+    and "mirror", one block of mirror tables.  A new spheroid's empty dict
+    replaces the old one before any of its tables is built."""
     return {}
-
-
-def _row(held: dict, slot, build, key: tuple, m: int):
-    """Sector m's tables from the block in held[slot] when that block was
-    built from key and holds m; else from a new block build(*key, m), built
-    after the old one is dropped, so the two never share memory."""
-    block = held.get(slot)
-    if block is None or block[0] != key or m not in block[1]:
-        block = held[slot] = None  # neither reference may outlive the build
-        block = held[slot] = (key, *build(*key, m))
-    _, ms, tables = block
-    return tuple(t[m - ms.start] for t in tables)
 
 
 @lru_cache(maxsize=None)
@@ -117,11 +105,10 @@ def _read_only(*tables):
 
 
 # A ladder climbs the rungs l_max = 5, 10, ..., l_cap, and every gap point
-# of a sweep over one spheroid climbs the same rungs: _held keeps each
-# rung's surface block (1.25 MiB for the 18 rungs of l_cap = 90, 12.86 MiB
-# for the 40 of l_cap = 200), so a sweep builds each rung's surface tables
-# once.  Another spheroid drops them, since its points would never reuse
-# them.
+# of a sweep over one spheroid climbs the same rungs.  Rows l <= L of the
+# surface tables built at l_max >= L are those built at L, so _held keeps
+# the block of the largest rung only (0.92 MiB at l_cap = 200) and every
+# rung below it reads its rows; another spheroid's points drop the block.
 def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
     """Read-only n_iso, signed normalization weights c and nP at the
     surface xi0 of a spheroid, l = 0..l_max, for the sectors from start
@@ -143,8 +130,16 @@ def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
 
 
 def _surface_table(spheroid: Spheroid, m: int, l_max: int):
-    """n_iso, c and nP0 of sector m, from the rung's surface block."""
-    return _row(_held(spheroid), l_max, _surface_tables, (spheroid, l_max), m)
+    """n_iso, c and nP0 of sector m from the held surface block, or from a
+    new block of this rung, held once built unless a larger rung's is."""
+    held = _held(spheroid)
+    block = held.get("surface", (-1, range(0)))
+    if block[0] < l_max or m not in block[1]:
+        block, held_l_max = (l_max, *_surface_tables(spheroid, l_max, m)), block[0]
+        if l_max >= held_l_max:
+            held["surface"] = block
+    _, ms, tables = block
+    return tuple(t[m - ms.start, : l_max + 1] for t in tables)
 
 
 def _check_sector(m: int, l_max: int) -> None:
@@ -252,9 +247,13 @@ def _spheroid_coupling(particle: PlacedParticle, m: int, l_max: int) -> np.ndarr
     w_amp = np.sqrt(np.abs(c_block))
 
     held = _held(particle.spheroid)
-    psi, weighted = _row(held, "mirror", _mirror_tables, (particle, l_max), m)
+    block = held.get("mirror") or (None, range(0))  # None after a failed build
+    if block[0] != (particle, l_max) or m not in block[1]:
+        block = held["mirror"] = None  # freed first: its 2 l_max + 64 nodes do not nest
+        block = held["mirror"] = ((particle, l_max), *_mirror_tables(particle, l_max, m))
+    _, ms, (psi, weighted) = block
     # proj[n, s] = int Pbar_n psi_s d(eta)
-    proj = weighted[l_min:] @ psi[l_min:].T
+    proj = weighted[m - ms.start, l_min:] @ psi[m - ms.start, l_min:].T
     K = proj / nP0[l_min:, None]
 
     with np.errstate(over="ignore", invalid="ignore"):

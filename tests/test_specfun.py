@@ -90,6 +90,17 @@ class TestProlateRadial:
             table(m, l_max, np.array(coord))
 
     @pytest.mark.parametrize(
+        "table, coord", [(prolate_radial_table, math.cosh), (oblate_radial_table, math.sinh)],
+        ids=["prolate", "oblate"],
+    )
+    def test_continued_fraction_cap(self, table, coord):
+        # theta = arccosh x or arcsinh zeta: below 21/4000 the Q continued
+        # fraction cannot decay by exp(-42) within its 4000 steps
+        table(0, 5, [coord(1.01 * 21.0 / 4000.0)])
+        with pytest.raises(SpecFunDomainError):
+            table(0, 5, [2.0, coord(0.99 * 21.0 / 4000.0)])
+
+    @pytest.mark.parametrize(
         "table", [prolate_radial_table, oblate_radial_table], ids=["prolate", "oblate"]
     )
     def test_overflow_raises(self, table):
@@ -131,15 +142,15 @@ class TestBatchedTables:
             assert np.array_equal(full[m], normalized_ferrers_table(m, l_max, eta))
 
     def test_overflow_names_lowest_failing_order(self):
-        # near x = 1 the tables of the higher orders fail at l_max = 90
-        x = [1.0 + 1e-9]
+        # near x = 1 the tables of the higher orders fail at l_max = 150
+        x = [1.0 + 2e-5]
         with pytest.raises(SpecFunOverflowError) as batched:
-            prolate_radial_table(range(91), 90, x)
+            prolate_radial_table(range(151), 150, x)
         m = batched.value.m
         assert m > 0
-        prolate_radial_table(m - 1, 90, x)
+        prolate_radial_table(m - 1, 150, x)
         with pytest.raises(SpecFunOverflowError) as single:
-            prolate_radial_table(m, 90, x)
+            prolate_radial_table(m, 150, x)
         assert str(single.value) == str(batched.value)
 
     @pytest.mark.parametrize("orders", [range(0), range(0, 4, 2), range(3, 7)])

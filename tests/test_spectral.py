@@ -66,6 +66,19 @@ class TestIsolatedDepolarization:
         n10 = isolated_depolarization(Spheroid.prolate(2.0, 1.0), 1, 0)
         assert n10 == pytest.approx(0.17356399753396, abs=1e-11)
 
+    def test_aspect_limit(self):
+        # below aspect coth(21/4000) ~ 190 n10 matches the closed form
+        # (1 - e^2)/e^3 (artanh e - e); above it the Q continued fraction
+        # would stop unconverged, so the table raises instead
+        e = Spheroid.prolate(100.0, 1.0).eccentricity
+        n10 = isolated_depolarization(Spheroid.prolate(100.0, 1.0), 1, 0)
+        assert n10 == pytest.approx((1.0 - e * e) / e**3 * (math.atanh(e) - e), rel=1e-11)
+        e = 1.0 / (1.0 + 1e-9)
+        needle = Spheroid.prolate(1.0, math.sqrt(1.0 - e * e))
+        for spheroid in (needle, Spheroid.prolate(1000.0, 1.0), Spheroid.oblate(1000.0, 1.0)):
+            with pytest.raises(CasimirSpectralError):
+                isolated_depolarization(spheroid, 1, 0)
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.floats(1.05, 5.0),
@@ -174,14 +187,15 @@ class TestSpectralBlocks:
         cfg = _config(Spheroid.prolate(2.0, 1.0), 0.5, Medium.constant(3.12), l_max=10)
         mode_spectrum(cfg)
         assert calls == {"leggauss": 1, "prolate_radial_table": 2}
-        # the next gap point of a sweep climbs the same rungs on the same
-        # spheroid: it reuses every rung's surface tables and builds only
-        # its mirror blocks, one radial call per rung
+        # a smaller rung on the same spheroid reads the l = 10 surface
+        # tables and builds only its mirror block
         mode_spectrum(cfg.with_l_max(5))
-        assert calls == {"leggauss": 2, "prolate_radial_table": 4}
+        assert calls == {"leggauss": 2, "prolate_radial_table": 3}
+        # so does every rung of the next gap point of a sweep: one radial
+        # call per rung
         for l_max in (5, 10):
             mode_spectrum(_config(cfg.particle.spheroid, 0.8, Medium.constant(3.12), l_max))
-        assert calls == {"leggauss": 2, "prolate_radial_table": 6}
+        assert calls == {"leggauss": 2, "prolate_radial_table": 5}
         # the cached tables cannot be changed by a caller
         table = isolated_depolarization_table(cfg.particle.spheroid, 10, 10)
         assert not table.flags.writeable
@@ -222,20 +236,44 @@ class TestSpectralBlocks:
             del psi
         assert built == [True] * (cfg.l_max + 1)
 
+    def test_failed_mirror_build_is_retried(self, monkeypatch):
+        # a mirror block whose build raised leaves no block behind, and the
+        # next sector builds its own
+        cfg = _config(Spheroid.prolate(2.0, 1.0), 0.3, Medium.constant(3.12), l_max=6)
+        spectral._held.cache_clear()
+        expected = spectral_block(cfg, 2).H
+        spectral._held.cache_clear()
+        original = spectral._mirror_tables
+
+        def failing(*args):
+            monkeypatch.setattr(spectral, "_mirror_tables", original)
+            raise SpecFunOverflowError("mirror tables overflow", m=args[-1])
+
+        monkeypatch.setattr(spectral, "_mirror_tables", failing)
+        with pytest.raises(SpecFunOverflowError):
+            spectral_block(cfg, 2)
+        assert np.array_equal(spectral_block(cfg, 2).H, expected)
+
     def test_surface_blocks_dropped_with_their_spheroid(self, monkeypatch):
-        # the blocks of one spheroid leave the cache before the first block
-        # of the next spheroid is built
+        # one surface block is held per spheroid, that of its largest rung:
+        # a larger rung's block replaces it, a smaller rung reads it, and
+        # it leaves the cache before the first block of the next spheroid
+        # is built
         prolate = Spheroid.prolate(2.0, 1.0)
         spectral._held.cache_clear()
-        for l_max in (5, 10):
-            spectral._surface_table(prolate, 0, l_max)
-        refs = [weakref.ref(spectral._held(prolate)[l_max][2][0]) for l_max in (5, 10)]
-        assert all(ref() is not None for ref in refs)
+        refs = []
+        for l_max in (5, 10, 5):
+            n_iso = spectral._surface_table(prolate, 0, l_max)[0]
+            assert len(n_iso) == l_max + 1
+            refs.append(weakref.ref(spectral._held(prolate)["surface"][2][0]))
+            del n_iso
+        assert spectral._held(prolate)["surface"][0] == 10
+        assert refs[0]() is None and refs[1]() is refs[2]() is not None
         original = spectral.oblate_radial_table
         dropped = []
 
         def radial(*args, **kwargs):
-            dropped.append(all(ref() is None for ref in refs))
+            dropped.append(refs[1]() is None)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "oblate_radial_table", radial)
@@ -243,8 +281,9 @@ class TestSpectralBlocks:
         assert dropped == [True]
 
     def test_whole_ladder_kept(self, monkeypatch):
-        # every rung of a ladder up to l_cap = 200 keeps its surface block,
-        # so the next gap point builds none of them again
+        # every rung of a ladder up to l_cap = 200 builds its surface block
+        # once: the next gap point reads each rung from the l = 200 block,
+        # the one block held, which is under 1 MiB
         spheroid = Spheroid.prolate(2.0, 1.0)
         original = spectral.prolate_radial_table
         surface = []
@@ -260,6 +299,44 @@ class TestSpectralBlocks:
             for l_max in rungs:
                 isolated_depolarization_table(spheroid, 0, l_max)
         assert surface == list(rungs)
+        # each table owns its memory or views a distinct array
+        _, _, tables = spectral._held(spheroid)["surface"]
+        assert sum((t if t.base is None else t.base).nbytes for t in tables) <= 1 << 20
+
+    @pytest.mark.parametrize("ctor", [Spheroid.prolate, Spheroid.oblate], ids=["prolate", "oblate"])
+    @pytest.mark.parametrize("aspect", [1.4, 2.0, 8.0, 120.0, 1.0 + 1e-6])
+    def test_surface_tables_nest(self, ctor, aspect):
+        # the rows l <= L of a rung-L' build are bit for bit the rung-L
+        # build, which lets every rung read the block of the largest one
+        # (L' = 96 is the largest rung of the near-sphere that builds)
+        spheroid = ctor(aspect, 1.0)
+        ms, large = spectral._surface_tables(spheroid, 96, 0)
+        assert ms == range(97)
+        for l_max in range(5, 96, 5):
+            ms, tables = spectral._surface_tables(spheroid, l_max, 0)
+            assert ms == range(l_max + 1)
+            for t, t_large in zip(tables, large):
+                assert np.array_equal(t, t_large[: l_max + 1, : l_max + 1])
+
+    def test_failing_sector_kept_out_of_the_held_block(self, monkeypatch):
+        # a sector whose surface tables fail does not evict the block of the
+        # sectors below it: the next gap points build only the failing one
+        e = 1.0 / (1.0 + 2e-5)
+        needle = Spheroid.prolate(1.0, math.sqrt(1.0 - e * e))
+        original = spectral.prolate_radial_table
+        calls = []
+
+        def radial(m, l_max, x, **kwargs):
+            calls[-1] += len(x) == 1
+            return original(m, l_max, x, **kwargs)
+
+        monkeypatch.setattr(spectral, "prolate_radial_table", radial)
+        spectral._held.cache_clear()
+        for gap in (0.5, 0.6, 0.7):
+            calls.append(0)
+            with pytest.raises(SpecFunOverflowError):
+                mode_spectrum(_config(needle, gap, Medium.constant(1.0), l_max=150))
+        assert calls == [3, 1, 1]
 
     @pytest.mark.parametrize(
         "spheroid",
@@ -280,28 +357,29 @@ class TestSpectralBlocks:
             coupling_matrix_D(cfg.particle, m, cfg.l_max)
 
     def test_failing_sector_spares_the_others(self):
-        # the needle's surface tables overflow from order 69 at l_max = 90:
-        # that sector raises, and the sectors below it are still served
-        e = 1.0 / (1.0 + 1e-9)
+        # the needle's surface tables overflow from order 139 at
+        # l_max = 150: that sector raises, and the sectors below it are
+        # still served
+        e = 1.0 / (1.0 + 2e-5)
         needle = Spheroid.prolate(1.0, math.sqrt(1.0 - e * e))
-        cfg = _config(needle, 0.5, Medium.constant(3.12), l_max=90)
+        cfg = _config(needle, 0.5, Medium.constant(3.12), l_max=150)
         with pytest.raises(SpecFunOverflowError) as info:
-            spectral_block(cfg, 69)
-        assert info.value.m == 69
+            spectral_block(cfg, 139)
+        assert info.value.m == 139
         spectral_block(cfg, 0)
-        spectral_block(_config(needle, 0.5, Medium.constant(1.0), l_max=90), 68)
+        spectral_block(_config(needle, 0.5, Medium.constant(1.0), l_max=150), 138)
         with pytest.raises(ContractViolationError):
-            spectral_block(cfg, 68)
+            spectral_block(cfg, 138)
 
     def test_failing_sector_raises_in_turn(self):
-        # near x = 1 the high orders overflow at l_max = 90: a block keeps
+        # near x = 1 the high orders overflow at l_max = 150: a block keeps
         # the sectors below the first failing one, which raises when reached
-        x = np.array([1.0 + 1e-9])
-        ms, tables = spectral._radial_rows(1.0, range(91), 90, x, False)
-        assert ms.start == 0 and 0 < ms.stop < 91
+        x = np.array([1.0 + 2e-5])
+        ms, tables = spectral._radial_rows(1.0, range(151), 150, x, False)
+        assert ms.start == 0 and 0 < ms.stop < 151
         assert len(tables[0]) == len(ms)
         with pytest.raises(SpecFunOverflowError):
-            spectral._radial_rows(1.0, range(ms.stop, 91), 90, x, False)
+            spectral._radial_rows(1.0, range(ms.stop, 151), 150, x, False)
 
     @pytest.mark.parametrize("l_max, m", [(1, 0), (1, 1), (12, 0), (12, 5), (40, 17), (40, 40)])
     def test_sphere_coupling_matches_loop(self, l_max, m):
