@@ -18,7 +18,6 @@ from .model import (
     Spheroid,
     SystemConfig,
     contrast_fc,
-    spectral_u,
 )
 from .spectral import (
     SpectralBlock,
@@ -57,7 +56,6 @@ __all__ = [
     "Spheroid",
     "SystemConfig",
     "contrast_fc",
-    "spectral_u",
     "SpectralBlock",
     "coupling_matrix_D",
     "effective_polarizability",

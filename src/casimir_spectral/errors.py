@@ -9,10 +9,6 @@ class InvalidMediumError(CasimirSpectralError, ValueError):
     """A medium has non-physical parameters or is used in an unsupported role."""
 
 
-class DivergentSpectralVariableError(CasimirSpectralError, ZeroDivisionError):
-    """Spectral variable u is undefined because epsilon_part == epsilon_amb."""
-
-
 class ContactError(CasimirSpectralError, ValueError):
     """Particle touches or penetrates the substrate (gap <= 0)."""
 

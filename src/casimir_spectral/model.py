@@ -15,16 +15,10 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Union
 
-from .errors import (
-    ContactError,
-    DegenerateCoordinateError,
-    DivergentSpectralVariableError,
-    InvalidMediumError,
-)
+from .errors import ContactError, DegenerateCoordinateError, InvalidMediumError
 
 class Family(str, Enum):
     PROLATE = "prolate"
@@ -146,48 +140,30 @@ class PlacedParticle:
 
 class MediumKind(str, Enum):
     CONSTANT = "constant"
-    DRUDE = "drude"
     PERFECT_CONDUCTOR = "perfect_conductor"
 
 
 @dataclass(frozen=True)
 class Medium:
-    """Dielectric medium: constant epsilon, Drude plasma, or perfect conductor."""
+    """Static substrate or ambient medium: constant epsilon or perfect
+    conductor.  The particle is always the Drude metal of the energy."""
 
     kind: MediumKind
     epsilon: float | None = None
-    omega_p: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "kind", MediumKind(self.kind))
         if self.kind is MediumKind.CONSTANT:
             if self.epsilon is None or not 0.0 < self.epsilon < math.inf:
                 raise InvalidMediumError("constant medium requires finite epsilon > 0")
-        elif self.kind is MediumKind.DRUDE:
-            if self.omega_p is None or not 0.0 < self.omega_p < math.inf:
-                raise InvalidMediumError("Drude medium requires finite omega_p > 0")
 
     @classmethod
     def constant(cls, epsilon: float) -> "Medium":
         return cls(MediumKind.CONSTANT, epsilon=epsilon)
 
     @classmethod
-    def drude(cls, omega_p: float = 1.0) -> "Medium":
-        return cls(MediumKind.DRUDE, omega_p=omega_p)
-
-    @classmethod
     def perfect_conductor(cls) -> "Medium":
         return cls(MediumKind.PERFECT_CONDUCTOR)
-
-    def epsilon_at(self, omega: float) -> float:
-        """Dielectric function at (real) frequency omega."""
-        if self.kind is MediumKind.CONSTANT:
-            return self.epsilon
-        if self.kind is MediumKind.DRUDE:
-            if omega == 0.0:
-                raise InvalidMediumError("Drude epsilon diverges at omega = 0")
-            return 1.0 - (self.omega_p / omega) ** 2
-        raise InvalidMediumError("perfect conductor has no finite epsilon")
 
 
 def contrast_fc(ambient_epsilon: float, substrate: Medium) -> float:
@@ -199,35 +175,17 @@ def contrast_fc(ambient_epsilon: float, substrate: Medium) -> float:
         raise InvalidMediumError("ambient epsilon must be positive and finite")
     if substrate.kind is MediumKind.PERFECT_CONDUCTOR:
         return -1.0
-    if substrate.kind is not MediumKind.CONSTANT:
-        raise InvalidMediumError(
-            "substrate must be a constant-epsilon medium or a perfect conductor"
-        )
     eps_sub = substrate.epsilon
-    if not eps_sub > 0.0:
-        raise InvalidMediumError("substrate epsilon must be positive")
     return (ambient_epsilon - eps_sub) / (ambient_epsilon + eps_sub)
-
-
-def spectral_u(particle_epsilon: Union[float, complex], ambient_epsilon: float):
-    """Spectral variable u = [1 - eps_part/eps_amb]^{-1}."""
-    if not ambient_epsilon > 0.0:
-        raise InvalidMediumError("ambient epsilon must be positive")
-    denom = 1.0 - particle_epsilon / ambient_epsilon
-    if denom == 0.0:
-        raise DivergentSpectralVariableError(
-            "spectral variable diverges when eps_part == eps_amb"
-        )
-    return 1.0 / denom
 
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Full system description: placed particle, media, truncation order."""
+    """Full system description: placed Drude particle, media, truncation
+    order."""
 
     particle: PlacedParticle
     substrate_medium: Medium
-    particle_medium: Medium = field(default_factory=lambda: Medium.drude(1.0))
     ambient_epsilon: float = 1.0
     l_max: int = 10
 

@@ -21,25 +21,22 @@ Retardation (the large-distance z^{-3} force regime) is out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy.integrate import quad
 
-from .errors import ContactError, InvalidMediumError
-from .model import Medium, MediumKind, SystemConfig, contrast_fc
+from .errors import ContactError
+from .model import Medium, SystemConfig, contrast_fc
 
 @dataclass(frozen=True)
 class PlatePair:
     """A Drude metal half-space facing a static substrate across a gap."""
 
-    metal: Medium
     substrate: Medium
     ambient_epsilon: float
     gap: float
 
     def __post_init__(self):
-        if self.metal.kind is not MediumKind.DRUDE:
-            raise InvalidMediumError("plate metal must be a Drude medium")
         if not self.gap > 0.0:
             raise ContactError("plate gap must be positive")
         contrast_fc(self.ambient_epsilon, self.substrate)
@@ -91,22 +88,13 @@ def mode_integral(f_c: float) -> float:
 def plate_energy_per_area(pair: PlatePair) -> float:
     """V(z) = (hbar omega_p / (4 sqrt(2) pi)) z^{-2} I(f_c); negative for
     attractive contrast f_c < 0."""
-    if not pair.gap > 0.0:
-        raise ContactError("gap must be positive")
     return mode_integral(pair.f_c) / (4.0 * math.sqrt(2.0) * math.pi * pair.gap**2)
 
 
-@dataclass(frozen=True)
-class PfaForce:
-    force: float
-
-
-def pfa_force(curved: CurvedSurfacePFA, pair: PlatePair) -> PfaForce:
+def pfa_force(curved: CurvedSurfacePFA, pair: PlatePair) -> float:
     """F = 2 pi (R1 R2/(R1+R2)) V(z); R1 = inf reduces to F = 2 pi R V(z)."""
-    V = plate_energy_per_area(
-        PlatePair(pair.metal, pair.substrate, pair.ambient_epsilon, curved.gap)
-    )
-    return PfaForce(force=2.0 * math.pi * curved.effective_radius * V)
+    V = plate_energy_per_area(replace(pair, gap=curved.gap))
+    return 2.0 * math.pi * curved.effective_radius * V
 
 
 def pfa_energy_sphere_plane(config: SystemConfig) -> float:
@@ -114,12 +102,9 @@ def pfa_energy_sphere_plane(config: SystemConfig) -> float:
     substrate, in units of hbar*omega_p: integral of the PFA force from
     infinity to the gap, = 2 pi R z V(z) for the z^{-2} plate law.
 
-    R is the particle's apex radius of curvature.  A particle that is not
-    a Drude metal raises InvalidMediumError.
+    R is the particle's apex radius of curvature.
     """
     R = config.particle.spheroid.apex_curvature_radius
     gap = config.particle.gap
-    pair = PlatePair(
-        config.particle_medium, config.substrate_medium, config.ambient_epsilon, gap
-    )
+    pair = PlatePair(config.substrate_medium, config.ambient_epsilon, gap)
     return 2.0 * math.pi * R * gap * plate_energy_per_area(pair)

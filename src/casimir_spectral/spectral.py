@@ -38,15 +38,7 @@ from .errors import (
     SpecFunOverflowError,
     UnphysicalModeError,
 )
-from .model import (
-    Family,
-    MediumKind,
-    PlacedParticle,
-    Spheroid,
-    SystemConfig,
-    spectral_u,
-    spheroid_xi0,
-)
+from .model import Family, PlacedParticle, Spheroid, SystemConfig, spheroid_xi0
 from .specfun import (
     normalized_ferrers_table,
     oblate_radial_table,
@@ -110,10 +102,11 @@ def _read_only(*tables):
 # the block of the largest rung only (0.92 MiB at l_cap = 200) and every
 # rung below it reads its rows; another spheroid's points drop the block.
 def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
-    """Read-only n_iso, signed normalization weights c and nP at the
-    surface xi0 of a spheroid, l = 0..l_max, for the sectors from start
-    up to l_max, from one one-point radial call; they serve both
-    isolated_depolarization_table and _spheroid_coupling."""
+    """Read-only n_iso, signed weight amplitudes w = sign(c) sqrt|c| of the
+    normalization weights c and nP at the surface xi0 of a spheroid,
+    l = 0..l_max, for the sectors from start up to l_max, from one
+    one-point radial call; they serve both isolated_depolarization_table
+    and _spheroid_coupling."""
     sigma = _SIGMA[spheroid.family]
     x0 = spheroid_xi0(spheroid)
     ms, (nP, ndP, nQ, _) = _radial_rows(
@@ -125,12 +118,19 @@ def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
     with np.errstate(over="ignore"):  # a non-finite D raises in _spheroid_coupling
         n_iso = -ndP * nQ / T
         c = -nP * ndP / T
+        w = np.sign(c) * np.sqrt(np.abs(c))
+        # where c or the product under it is below the smallest normal
+        # double (nP tiny at high m near xi0 = 1), c has lost its digits or
+        # underflowed to 0: take the amplitude from the factors instead
+        lost = ~(np.minimum(np.abs(nP * ndP), np.abs(c)) >= np.finfo(float).tiny)
+        amp = np.sqrt(np.abs(nP)) * np.sqrt(np.abs(ndP / T))
+        w[lost] = (-np.sign(nP) * np.sign(ndP) * np.sign(T) * amp)[lost]
     n_iso[np.arange(l_max + 1) < np.array(ms)[:, None]] = 0.0  # l < m
-    return ms, _read_only(n_iso, c, nP)
+    return ms, _read_only(n_iso, w, nP)
 
 
 def _surface_table(spheroid: Spheroid, m: int, l_max: int):
-    """n_iso, c and nP0 of sector m from the held surface block, or from a
+    """n_iso, w and nP0 of sector m from the held surface block, or from a
     new block of this rung, held once built unless a larger rung's is."""
     held = _held(spheroid)
     block = held.get("surface", (-1, range(0)))
@@ -237,14 +237,14 @@ def _mirror_tables(particle: PlacedParticle, l_max: int, start: int):
 def _spheroid_coupling(particle: PlacedParticle, m: int, l_max: int) -> np.ndarray:
     """Image coupling matrix for a spheroid by direct mirror projection."""
     l_min = max(1, m)
-    _, c, nP0 = _surface_table(particle.spheroid, m, l_max)
-    c_block = c[l_min:]
+    _, w, nP0 = _surface_table(particle.spheroid, m, l_max)
+    w_block = w[l_min:]
     sign = -1.0 if m % 2 else 1.0
-    if np.any(sign * c_block <= 0.0):
+    if np.any(sign * w_block <= 0.0):
         raise ContractViolationError(
             "unexpected sign pattern in spheroidal normalization weights"
         )
-    w_amp = np.sqrt(np.abs(c_block))
+    w_amp = np.abs(w_block)
 
     held = _held(particle.spheroid)
     block = held.get("mirror") or (None, range(0))  # None after a failed build
@@ -371,14 +371,11 @@ def mode_spectrum(config: SystemConfig) -> tuple:
 
 
 def effective_polarizability(config: SystemConfig, omega: float, l: int, m: int) -> float:
-    """alpha_eff^{lm}(omega) = -(v/4pi) sum_s C_s^{lm} / (u(omega) - n_s)."""
+    """alpha_eff^{lm}(omega) = -(v/4pi) sum_s C_s^{lm} / (u - n_s) of the
+    Drude particle, u = omega^2 with omega in units of omega_p."""
     if l < max(1, m) or l > config.l_max:
         raise SpecFunDomainError(f"l={l} outside block range for m={m}")
-    pm = config.particle_medium
-    if pm.kind is MediumKind.DRUDE:
-        u = (omega / pm.omega_p) ** 2
-    else:
-        u = spectral_u(pm.epsilon_at(omega), config.ambient_epsilon)
+    u = omega**2
     block = spectral_block(config, m)
     n_s = block.eigenvalues
     idx = np.argmin(np.abs(u - n_s))

@@ -15,7 +15,6 @@ from casimir_spectral.model import (
     Spheroid,
     SystemConfig,
     contrast_fc,
-    spectral_u,
     spheroid_xi0,
 )
 
@@ -105,18 +104,6 @@ class TestMedia:
         particle = PlacedParticle(Spheroid.sphere(1.0), gap=1.0)
         with pytest.raises(InvalidMediumError):
             SystemConfig(particle, Medium.constant(3.12), ambient_epsilon=eps)
-
-    @pytest.mark.parametrize("omega_p", [math.inf, math.nan])
-    def test_non_finite_omega_p_rejected(self, omega_p):
-        with pytest.raises(InvalidMediumError):
-            Medium.drude(omega_p)
-
-    def test_drude_spectral_variable(self):
-        drude = Medium.drude(1.0)
-        # u = (omega / omega_p)^2 for a Drude particle in vacuum
-        for omega in (0.1, 0.5, 0.9):
-            u = spectral_u(drude.epsilon_at(omega), 1.0)
-            assert u == pytest.approx(omega**2)
 
 
 class TestSystemConfig:
