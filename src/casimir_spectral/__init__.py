@@ -35,11 +35,8 @@ from .energy import (
     zero_point_energy,
 )
 from .pfa import (
-    CurvedSurfacePFA,
-    PlatePair,
     mode_integral,
     pfa_energy_sphere_plane,
-    pfa_force,
     plate_energy_per_area,
 )
 
@@ -67,10 +64,7 @@ __all__ = [
     "energy_sweep",
     "local_exponents",
     "zero_point_energy",
-    "CurvedSurfacePFA",
-    "PlatePair",
     "mode_integral",
     "pfa_energy_sphere_plane",
-    "pfa_force",
     "plate_energy_per_area",
 ]

@@ -361,10 +361,7 @@ def _scenario_modes(run: RunConfig) -> int:
 
 
 FIG1_SPHEROID = Spheroid.oblate(1.4, 1.0)
-FIG1_MEDIA = {
-    math.inf: Medium.perfect_conductor(),
-    **{eps: Medium.constant(eps) for eps in (7.8, 3.12, 1.6)},
-}
+FIG1_MEDIA = {eps: Medium(eps) for eps in (math.inf, 7.8, 3.12, 1.6)}
 FIG2_FAMILIES = {aspect: Spheroid.prolate(aspect, 1.0) for aspect in (1.2, 1.6, 2.0)}
 FIG3_Z_OVER_RPERP = 0.25
 FIG3_DEFAULT_GRID = (0.4, 2.5, 11)

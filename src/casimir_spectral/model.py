@@ -138,32 +138,27 @@ class PlacedParticle:
         return PlacedParticle(self.spheroid.scaled(factor), self.gap * factor)
 
 
-class MediumKind(str, Enum):
-    CONSTANT = "constant"
-    PERFECT_CONDUCTOR = "perfect_conductor"
-
-
 @dataclass(frozen=True)
 class Medium:
-    """Static substrate or ambient medium: constant epsilon or perfect
-    conductor.  The particle is always the Drude metal of the energy."""
+    """Static substrate or ambient medium of dielectric constant epsilon;
+    epsilon = inf is the perfect conductor.  The particle is always the
+    Drude metal of the energy."""
 
-    kind: MediumKind
-    epsilon: float | None = None
+    epsilon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", MediumKind(self.kind))
-        if self.kind is MediumKind.CONSTANT:
-            if self.epsilon is None or not 0.0 < self.epsilon < math.inf:
-                raise InvalidMediumError("constant medium requires finite epsilon > 0")
+        if not self.epsilon > 0.0:
+            raise InvalidMediumError("medium requires epsilon > 0 (inf: perfect conductor)")
 
     @classmethod
     def constant(cls, epsilon: float) -> "Medium":
-        return cls(MediumKind.CONSTANT, epsilon=epsilon)
+        if not epsilon < math.inf:  # NaN fails too
+            raise InvalidMediumError("constant medium requires finite epsilon")
+        return cls(epsilon)
 
     @classmethod
     def perfect_conductor(cls) -> "Medium":
-        return cls(MediumKind.PERFECT_CONDUCTOR)
+        return cls(math.inf)
 
 
 def contrast_fc(ambient_epsilon: float, substrate: Medium) -> float:
@@ -173,9 +168,9 @@ def contrast_fc(ambient_epsilon: float, substrate: Medium) -> float:
     """
     if not 0.0 < ambient_epsilon < math.inf:
         raise InvalidMediumError("ambient epsilon must be positive and finite")
-    if substrate.kind is MediumKind.PERFECT_CONDUCTOR:
-        return -1.0
     eps_sub = substrate.epsilon
+    if eps_sub == math.inf:
+        return -1.0
     return (ambient_epsilon - eps_sub) / (ambient_epsilon + eps_sub)
 
 

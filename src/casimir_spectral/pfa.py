@@ -1,5 +1,5 @@
 """Non-retarded plate-plate zero-point energy and the Proximity Force
-Approximation for curved surfaces.
+Approximation of a particle's apex curvature.
 
 The coupled surface-plasmon branch of a Drude half-space facing a static
 dielectric across a gap z follows from the quasi-static reflection
@@ -13,65 +13,25 @@ so the energy per unit area is
     I(f_c) = int_0^inf u (sqrt(1 + f_c exp(-2u)) - 1) du,
 
 a pure z^{-2} law.  Energies are in units of hbar*omega_p, like the
-spectral energy Xi, and lengths in the units of the gap: V is an energy
-per unit area and a force an energy per unit length.
-Retardation (the large-distance z^{-3} force regime) is out of scope.
+spectral energy Xi, and lengths in the units of the gap.
+Retardation (the large-distance regime) is out of scope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from scipy.integrate import quad
 
-from .errors import ContactError
-from .model import Medium, SystemConfig, contrast_fc
-
-@dataclass(frozen=True)
-class PlatePair:
-    """A Drude metal half-space facing a static substrate across a gap."""
-
-    substrate: Medium
-    ambient_epsilon: float
-    gap: float
-
-    def __post_init__(self):
-        if not self.gap > 0.0:
-            raise ContactError("plate gap must be positive")
-        contrast_fc(self.ambient_epsilon, self.substrate)
-
-    @property
-    def f_c(self) -> float:
-        return contrast_fc(self.ambient_epsilon, self.substrate)
-
-
-@dataclass(frozen=True)
-class CurvedSurfacePFA:
-    """Two curved surfaces with radii R1 (may be inf) and R2."""
-
-    R1: float
-    R2: float
-    gap: float
-
-    def __post_init__(self):
-        if not (self.R1 > 0.0 and self.R2 > 0.0):
-            raise ValueError("radii must be positive")
-        if not self.gap > 0.0:
-            raise ContactError("gap must be positive")
-
-    @property
-    def effective_radius(self) -> float:
-        if math.isinf(self.R1):
-            return self.R2
-        if math.isinf(self.R2):
-            return self.R1
-        return self.R1 * self.R2 / (self.R1 + self.R2)
+from .errors import ContactError, SpecFunDomainError
+from .model import SystemConfig
 
 
 def mode_integral(f_c: float) -> float:
-    """I(f_c) = int_0^inf u (sqrt(1 + f_c e^{-2u}) - 1) du; I(0) = 0,
-    strictly increasing on [-1, 1)."""
+    """I(f_c) = int_0^inf u (sqrt(1 + f_c e^{-2u}) - 1) du for f_c in
+    [-1, 1); I(0) = 0, strictly increasing."""
+    if not -1.0 <= f_c < 1.0:  # NaN fails too
+        raise SpecFunDomainError(f"mode integral needs -1 <= f_c < 1, got f_c={f_c!r}")
     if f_c == 0.0:
         return 0.0
     val, err = quad(
@@ -85,16 +45,12 @@ def mode_integral(f_c: float) -> float:
     return val
 
 
-def plate_energy_per_area(pair: PlatePair) -> float:
-    """V(z) = (hbar omega_p / (4 sqrt(2) pi)) z^{-2} I(f_c); negative for
-    attractive contrast f_c < 0."""
-    return mode_integral(pair.f_c) / (4.0 * math.sqrt(2.0) * math.pi * pair.gap**2)
-
-
-def pfa_force(curved: CurvedSurfacePFA, pair: PlatePair) -> float:
-    """F = 2 pi (R1 R2/(R1+R2)) V(z); R1 = inf reduces to F = 2 pi R V(z)."""
-    V = plate_energy_per_area(replace(pair, gap=curved.gap))
-    return 2.0 * math.pi * curved.effective_radius * V
+def plate_energy_per_area(f_c: float, gap: float) -> float:
+    """V(z) = (hbar omega_p / (4 sqrt(2) pi)) z^{-2} I(f_c) at gap z;
+    negative for attractive contrast f_c < 0."""
+    if not gap > 0.0:
+        raise ContactError("plate gap must be positive")
+    return mode_integral(f_c) / (4.0 * math.sqrt(2.0) * math.pi * gap**2)
 
 
 def pfa_energy_sphere_plane(config: SystemConfig) -> float:
@@ -106,5 +62,4 @@ def pfa_energy_sphere_plane(config: SystemConfig) -> float:
     """
     R = config.particle.spheroid.apex_curvature_radius
     gap = config.particle.gap
-    pair = PlatePair(config.substrate_medium, config.ambient_epsilon, gap)
-    return 2.0 * math.pi * R * gap * plate_energy_per_area(pair)
+    return 2.0 * math.pi * R * gap * plate_energy_per_area(config.f_c, gap)

@@ -76,8 +76,8 @@ def _radial_rows(sigma: float, ms: range, l_max: int, coord, derivatives: bool):
 @lru_cache(maxsize=1)
 def _held(spheroid: Spheroid) -> dict:
     """The tables kept for the last spheroid asked for, each as (key, ms,
-    tables): "surface", the surface block of its largest rung l_max = key,
-    and "mirror", one block of mirror tables.  A new spheroid's empty dict
+    tables): "surface", one surface block of rung l_max = key, and
+    "mirror", one block of mirror tables.  A new spheroid's empty dict
     replaces the old one before any of its tables is built."""
     return {}
 
@@ -101,6 +101,8 @@ def _read_only(*tables):
 # surface tables built at l_max >= L are those built at L, so _held keeps
 # the block of the largest rung only (0.92 MiB at l_cap = 200) and every
 # rung below it reads its rows; another spheroid's points drop the block.
+# A block that starts above sector 0 serves no rung's lower sectors, so a
+# smaller rung's block that starts below it replaces it.
 def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
     """Read-only n_iso, signed weight amplitudes w = sign(c) sqrt|c| of the
     normalization weights c and nP at the surface xi0 of a spheroid,
@@ -131,13 +133,15 @@ def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
 
 def _surface_table(spheroid: Spheroid, m: int, l_max: int):
     """n_iso, w and nP0 of sector m from the held surface block, or from a
-    new block of this rung, held once built unless a larger rung's is."""
+    new block of this rung, held once built if its rung is at least the
+    held block's or it starts below the held block."""
     held = _held(spheroid)
     block = held.get("surface", (-1, range(0)))
     if block[0] < l_max or m not in block[1]:
-        block, held_l_max = (l_max, *_surface_tables(spheroid, l_max, m)), block[0]
-        if l_max >= held_l_max:
-            held["surface"] = block
+        new = (l_max, *_surface_tables(spheroid, l_max, m))
+        if l_max >= block[0] or m < block[1].start:
+            held["surface"] = new
+        block = new
     _, ms, tables = block
     return tuple(t[m - ms.start, : l_max + 1] for t in tables)
 
@@ -310,11 +314,10 @@ def eigendecompose(H: np.ndarray):
     ):
         raise ContractViolationError("H is not finite and symmetric within tolerance")
     # LAPACK's dsyevr with the arguments and workspace scipy.linalg.eigh
-    # gives it, without eigh's per-call argument handling
+    # gives it, without eigh's per-call argument handling; it reads the
+    # lower triangle only, and every H built here is exactly symmetric
     lwork, liwork = _syevr_workspace(len(H))
-    vals, vecs, _, _, info = dsyevr(
-        0.5 * (H + H.T), compute_v=1, lower=1, lwork=lwork, liwork=liwork
-    )
+    vals, vecs, _, _, info = dsyevr(H, compute_v=1, lower=1, lwork=lwork, liwork=liwork)
     if info != 0:
         raise ContractViolationError(f"LAPACK dsyevr failed with info = {info}")
     return vals, vecs, vecs**2

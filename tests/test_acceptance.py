@@ -30,11 +30,8 @@ from casimir_spectral.oracles import (
     build_mesh,
 )
 from casimir_spectral.pfa import (
-    CurvedSurfacePFA,
-    PlatePair,
     mode_integral,
     pfa_energy_sphere_plane,
-    pfa_force,
     plate_energy_per_area,
 )
 from casimir_spectral.spectral import (
@@ -341,18 +338,10 @@ def test_09_eigensystem_properties(report):
 
 
 def test_10_pfa_module(report):
-    """V z^2 constant, exponent 2.000 +- 1e-3, small-f_c law, R1 = inf reduction."""
-
-    def pair(gap, substrate):
-        return PlatePair(
-            substrate=substrate,
-            ambient_epsilon=1.0,
-            gap=gap,
-        )
-
-    conductor = Medium.perfect_conductor()
+    """V z^2 constant, exponent 2.000 +- 1e-3, small-f_c law, sphere-plane
+    energy 2 pi R z V(z)."""
     zs = np.geomspace(0.5, 5.0, 11)
-    vals = np.array([plate_energy_per_area(pair(z, conductor)) for z in zs])
+    vals = np.array([plate_energy_per_area(-1.0, z) for z in zs])
     const = vals * zs * zs
     scatter = float(np.max(np.abs(const / const[0] - 1.0)))
     assert scatter <= 1e-8
@@ -362,16 +351,18 @@ def test_10_pfa_module(report):
         abs(mode_integral(f_c) / (f_c / 8.0) - 1.0) for f_c in (0.01, -0.01)
     )
     assert small_dev <= 0.01
-    # sphere-plane reduction: R1 = inf plate against R2 = R
-    plate_pair = pair(0.05, conductor)
-    force = pfa_force(CurvedSurfacePFA(R1=math.inf, R2=2.0, gap=0.05), plate_pair)
-    expected = 2.0 * math.pi * 2.0 * plate_energy_per_area(plate_pair)
-    reduction_dev = abs(force / expected - 1.0)
-    assert reduction_dev == 0.0
+    # sphere-plane energy: a radius-2 sphere at gap 0.05 over a conductor
+    sphere = SystemConfig(
+        particle=PlacedParticle(Spheroid.sphere(2.0), gap=0.05),
+        substrate_medium=Medium.perfect_conductor(),
+    )
+    expected = 2.0 * math.pi * 2.0 * 0.05 * plate_energy_per_area(-1.0, 0.05)
+    sphere_plane_dev = abs(pfa_energy_sphere_plane(sphere) / expected - 1.0)
+    assert sphere_plane_dev == 0.0
     report["passed"] = True
     report["detail"] = (
         f"V z^2 scatter {scatter:.1e}, exponent {-slope:.4f}, small-f_c dev "
-        f"{small_dev:.2%}, reduction exact"
+        f"{small_dev:.2%}, sphere-plane energy exact"
     )
 
 

@@ -92,6 +92,15 @@ class TestMedia:
         assert f_c == pytest.approx(-0.514563, abs=1e-6)
         assert contrast_fc(1.0, Medium.constant(1.0)) == 0.0
 
+    def test_infinite_epsilon_is_perfect_conductor(self):
+        assert Medium(math.inf) == Medium.perfect_conductor()
+        assert contrast_fc(1.0, Medium(math.inf)) == -1.0
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+    def test_non_positive_epsilon_rejected(self, eps):
+        with pytest.raises(InvalidMediumError):
+            Medium(eps)
+
     @given(st.floats(1.0, 100.0))
     def test_contrast_range(self, eps):
         f_c = contrast_fc(1.0, Medium.constant(eps))

@@ -4,23 +4,13 @@ import numpy as np
 import pytest
 
 from casimir_spectral.energy import convergence_ladder
+from casimir_spectral.errors import ContactError, SpecFunDomainError
 from casimir_spectral.model import Medium, PlacedParticle, Spheroid, SystemConfig
 from casimir_spectral.pfa import (
-    CurvedSurfacePFA,
-    PlatePair,
     mode_integral,
     pfa_energy_sphere_plane,
-    pfa_force,
     plate_energy_per_area,
 )
-
-
-def _pair(gap=1.0, substrate=None):
-    return PlatePair(
-        substrate=substrate or Medium.perfect_conductor(),
-        ambient_epsilon=1.0,
-        gap=gap,
-    )
 
 
 class TestPlateModes:
@@ -33,35 +23,33 @@ class TestPlateModes:
         assert value < 0.0
         assert value == pytest.approx(-0.1358458, abs=1e-6)
 
+    @pytest.mark.parametrize("f_c", [1.0, 5.0, -1.0 - 1e-12, -2.0, math.nan, math.inf])
+    def test_mode_integral_domain(self, f_c):
+        # I(f_c) is defined on [-1, 1) only
+        with pytest.raises(SpecFunDomainError):
+            mode_integral(f_c)
+
 
 class TestPlateEnergy:
     def test_inverse_square_scaling(self):
-        ref = plate_energy_per_area(_pair(1.0))
+        ref = plate_energy_per_area(-1.0, 1.0)
         for z in np.geomspace(0.3, 3.0, 7):
-            value = plate_energy_per_area(_pair(z))
+            value = plate_energy_per_area(-1.0, z)
             assert value * z * z == pytest.approx(ref, rel=1e-8)
 
     def test_fitted_exponent(self):
         zs = np.geomspace(0.5, 5.0, 9)
-        vals = np.array([abs(plate_energy_per_area(_pair(z))) for z in zs])
+        vals = np.array([abs(plate_energy_per_area(-1.0, z)) for z in zs])
         slope = np.polyfit(np.log(zs), np.log(vals), 1)[0]
         assert slope == pytest.approx(-2.0, abs=1e-3)
 
+    def test_contact_rejected(self):
+        for gap in (0.0, -1.0, math.nan):
+            with pytest.raises(ContactError):
+                plate_energy_per_area(-1.0, gap)
+
 
 class TestCurvedPfa:
-    def test_force_reduces_to_sphere_plane(self):
-        pair = _pair(0.05)
-        sphere = CurvedSurfacePFA(R1=2.0, R2=math.inf, gap=0.05)
-        force = pfa_force(sphere, pair)
-        expected = 2.0 * math.pi * 2.0 * plate_energy_per_area(pair)
-        assert force == pytest.approx(expected, rel=1e-12)
-
-    def test_effective_radius_symmetric(self):
-        a = CurvedSurfacePFA(R1=1.0, R2=3.0, gap=0.1)
-        b = CurvedSurfacePFA(R1=3.0, R2=1.0, gap=0.1)
-        assert a.effective_radius == pytest.approx(b.effective_radius)
-        assert a.effective_radius == pytest.approx(0.75)
-
     def test_energy_sphere_plane_sign(self):
         cfg = SystemConfig(
             particle=PlacedParticle(Spheroid.sphere(1.0), gap=0.2),

@@ -350,6 +350,28 @@ class TestSpectralBlocks:
                 mode_spectrum(_config(needle, gap, Medium.constant(1.0), l_max=150))
         assert calls == [3, 1, 1]
 
+    def test_block_above_sector_zero_spares_smaller_rungs(self, monkeypatch):
+        # a block that starts above sector 0 gives way to a smaller rung's
+        # block from sector 0, so the sweep after it builds one surface
+        # block per rung, as from a cold cache
+        spheroid = Spheroid.oblate(1.4, 1.0)
+        original = spectral.oblate_radial_table
+        calls = []
+
+        def radial(m, l_max, x, **kwargs):
+            calls.append(len(x) == 1)
+            return original(m, l_max, x, **kwargs)
+
+        monkeypatch.setattr(spectral, "oblate_radial_table", radial)
+        spectral._held.cache_clear()
+        isolated_depolarization(spheroid, 90, 45)
+        assert spectral._held(spheroid)["surface"][:2] == (90, range(45, 91))
+        for gap in (0.5, 0.8):
+            for l_max in (5, 10):
+                mode_spectrum(_config(spheroid, gap, Medium.constant(3.12), l_max))
+        assert sum(calls) == 3
+        assert spectral._held(spheroid)["surface"][:2] == (10, range(11))
+
     @pytest.mark.parametrize(
         "spheroid",
         [Spheroid.sphere(1.0), Spheroid.prolate(2.0, 1.0), Spheroid.oblate(1.4, 1.0)],
