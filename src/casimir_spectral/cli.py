@@ -290,7 +290,8 @@ def _config_at(params: dict, spec: _Ladder, label: dict, z) -> SystemConfig:
 
 
 def _run_ladder(run: RunConfig, spec: _Ladder) -> int:
-    """Run energy_sweep per label, write the CSV, return the exit code.
+    """Run one energy_sweep over every label's grid, label by label, write
+    the CSV, return the exit code.
 
     One record per (label, z) holds the label's keys, the base columns and,
     on converged rows, the extra columns.  ``beta_local`` comes from the
@@ -301,10 +302,11 @@ def _run_ladder(run: RunConfig, spec: _Ladder) -> int:
     labels = spec.labels(params)
     grid = spec.grid(params)
     tolerance, l_cap = params["truncation.tolerance"], params["truncation.l_max"]
+    configs = [_config_at(params, spec, label, z) for label in labels for z in grid]
+    every_row = energy_sweep(configs, tolerance=tolerance, l_cap=l_cap)
     tables = []
-    for label in labels:
-        configs = [_config_at(params, spec, label, z) for z in grid]
-        rows = energy_sweep(configs, tolerance=tolerance, l_cap=l_cap)
+    for k, label in enumerate(labels):
+        rows = every_row[k * len(grid) : (k + 1) * len(grid)]
         betas = iter(local_exponents([r.sample for r in rows if r.sample is not None]))
         records = []
         for row in rows:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import spectral
 from .errors import CasimirSpectralError, ConvergenceError
 from .model import SystemConfig
 from .spectral import mode_spectrum
@@ -129,13 +130,31 @@ def energy_sweep(
     """One row per config, in the given order, from the convergence ladder:
     the one loop over sweep points.  A CasimirSpectralError at a point is
     recorded in its row and does not abort the sweep; any other exception
-    propagates."""
+    propagates.
+
+    The coupling D of a particle depends on its geometry only, so every D
+    built for a particle that a later config repeats (the same spheroid at
+    the same gap over another substrate) is kept, read-only, and read by
+    the ladders of those configs.  A particle's D are dropped after its
+    last config, and all of them when the sweep returns or raises: 0.67 MiB
+    at most on fig1's default grid, and up to about 10 MiB per repeated
+    particle whose ladder climbs to l_cap = 90.
+    """
+    configs = list(configs)
+    last = {config.particle: i for i, config in enumerate(configs)}
     rows = []
-    for config in configs:
-        try:
-            sample = convergence_ladder(config, tolerance=tolerance, l_cap=l_cap)
-            error = None
-        except CasimirSpectralError as exc:  # recorded, not raised
-            sample, error = None, str(exc)
-        rows.append(SweepRow(config, sample, error))
+    try:
+        for i, config in enumerate(configs):
+            if last[config.particle] > i:
+                spectral._shared_D.setdefault(config.particle, {})
+            try:
+                sample = convergence_ladder(config, tolerance=tolerance, l_cap=l_cap)
+                error = None
+            except CasimirSpectralError as exc:  # recorded, not raised
+                sample, error = None, str(exc)
+            if last[config.particle] == i:
+                spectral._shared_D.pop(config.particle, None)
+            rows.append(SweepRow(config, sample, error))
+    finally:
+        spectral._shared_D.clear()
     return rows

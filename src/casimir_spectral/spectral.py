@@ -154,13 +154,14 @@ def _check_sector(m: int, l_max: int) -> None:
 
 
 def isolated_depolarization_table(spheroid: Spheroid, m: int, l_max: int) -> np.ndarray:
-    """n_lm(infinity) for l = m..l_max (entries below l=m are zero).
-    A spheroid's table is read-only."""
+    """Read-only n_lm(infinity) for l = m..l_max (entries below l=m are
+    zero)."""
     _check_sector(m, l_max)
     if spheroid.family is Family.SPHERE:
         l = np.arange(l_max + 1, dtype=float)
         out = np.where(l >= 1, l / (2.0 * l + 1.0), 0.0)
         out[:m] = 0.0
+        out.flags.writeable = False
         return out
     return _surface_table(spheroid, m, l_max)[0]
 
@@ -270,18 +271,33 @@ def _spheroid_coupling(particle: PlacedParticle, m: int, l_max: int) -> np.ndarr
     return 0.5 * (D + D.T)
 
 
+# D depends on the placed particle only, never on the substrate: while
+# energy_sweep evaluates configs that repeat a particle, it puts an entry
+# {} for the particle here, coupling_matrix_D keeps every D it builds for
+# the particle in it, keyed (m, l_max), and the sweep drops the entry after
+# the particle's last config and empties this on leaving.
+_shared_D: dict = {}
+
+
 def coupling_matrix_D(particle: PlacedParticle, m: int, l_max: int) -> np.ndarray:
-    """Substrate-induced multipolar coupling matrix (f_c not included).
+    """Read-only substrate-induced multipolar coupling matrix (f_c not
+    included).
 
     Indexed by l = max(1, m)..l_max.  Every entry decays like
     (scale/2d)^{l+s+1} as the center height d grows.
     """
     _check_sector(m, l_max)
+    kept = _shared_D.get(particle) if _shared_D else None
+    if kept is not None and (m, l_max) in kept:
+        return kept[m, l_max]
     if particle.spheroid.family is Family.SPHERE:
-        return _sphere_coupling(
-            particle.spheroid.r_major, particle.center_height, m, l_max
-        )
-    return _spheroid_coupling(particle, m, l_max)
+        D = _sphere_coupling(particle.spheroid.r_major, particle.center_height, m, l_max)
+    else:
+        D = _spheroid_coupling(particle, m, l_max)
+    D.flags.writeable = False
+    if kept is not None:
+        kept[m, l_max] = D
+    return D
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,10 @@ SCENARIO_DIGESTS = {
     "fig1_eps_1p6": "1e6239b940747ff83bca21083fcfa9cdf354d23d2e0a1ebeeec2b2fbe7c87f5e",
 }
 
-# Within l_max = 20 the two smallest gaps of pfa_compare and the oblate
-# 1.8 of fig3 do not converge, so these CSVs pin failed rows next to
-# converged ones.
+# Within l_max = 20 the two smallest gaps of pfa_compare and of fig1 (over
+# every substrate) and the oblate 1.8 of fig3 do not converge, so these
+# CSVs pin failed rows next to converged ones; fig1's four files pin one
+# sweep whose substrates share each gap's coupling D.
 FAILING_CFG = """
 geometry.r_major = 2.0
 geometry.r_minor = 1.0
@@ -65,6 +66,10 @@ truncation.l_max = 20
 FAILING_DIGESTS = {
     "pfa_compare": "d996e4025032665beb145d6a7e23d58ea42b7aefe25f2d37ac85076716dce4a0",
     "fig3": "7032406240fe8f5d372cd3d61492cdaccd6d048e5ce7cd81d1f7e293ba7d2dfb",
+    "fig1_eps_inf": "16afcdefdb8be912e916eed894d770a16b0b7732ecf1fdc656707aa13e40ac87",
+    "fig1_eps_7p8": "5d0a46b7605511f9fe0598da394168b9afaceb3495c448ca56666cd5a7e2863f",
+    "fig1_eps_3p12": "93bffebccf388ac70fefc491b6cf402b56cccf254a4fc28f4ebd4ec4634af518",
+    "fig1_eps_1p6": "aecaa31ff3914cbaa97b46940159c3489a17d2be20bf0f78b04162f6ead0a544",
 }
 
 
@@ -304,13 +309,20 @@ class TestScenarios:
         }
         assert digests == expected
 
-    @pytest.mark.parametrize("scenario", sorted(FAILING_DIGESTS))
+    @pytest.mark.parametrize(
+        "scenario", sorted({_scenario_of(name) for name in FAILING_DIGESTS})
+    )
     def test_failed_rows_csv_digest(self, tmp_path, scenario):
         code, digests = _run_digests(tmp_path, FAILING_CFG, scenario, strict=True)
         assert code == 2
-        assert digests == {scenario: FAILING_DIGESTS[scenario]}
-        _, _, rows = _read_rows(tmp_path / f"{scenario}.csv")
-        assert {row["converged"] for row in rows} == {"true", "false"}
+        assert digests == {
+            name: digest
+            for name, digest in FAILING_DIGESTS.items()
+            if _scenario_of(name) == scenario
+        }
+        for name in digests:
+            _, _, rows = _read_rows(tmp_path / f"{name}.csv")
+            assert {row["converged"] for row in rows} == {"true", "false"}
 
     def test_figures_honour_ambient_epsilon(self, tmp_path):
         # fig2's aspect-2 family is the prolate 2/1 over epsilon 3.12

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from casimir_spectral import energy
+from casimir_spectral import cli, energy, spectral
 from casimir_spectral.energy import (
     EnergySample,
     convergence_ladder,
@@ -13,7 +13,7 @@ from casimir_spectral.energy import (
     local_exponents,
     zero_point_energy,
 )
-from casimir_spectral.errors import ConvergenceError
+from casimir_spectral.errors import CasimirSpectralError, ConvergenceError
 from casimir_spectral.model import (
     Medium,
     PlacedParticle,
@@ -176,3 +176,108 @@ class TestSweep:
         monkeypatch.setattr(energy, "convergence_ladder", broken_ladder)
         with pytest.raises(TypeError):
             energy_sweep([_sphere_config(z) for z in (1.0, 2.0)])
+
+
+def _oblate_config(medium, z, l_max=30):
+    spheroid = Spheroid.oblate(1.4, 1.0)
+    return SystemConfig(
+        particle=PlacedParticle(spheroid, gap=z * spheroid.r_minor),
+        substrate_medium=medium,
+        l_max=l_max,
+    )
+
+
+def _held_bytes():
+    return sum(D.nbytes for kept in spectral._shared_D.values() for D in kept.values())
+
+
+class TestSharedCoupling:
+    """energy_sweep shares each particle's coupling D between the configs
+    that repeat the particle over other substrates."""
+
+    MEDIA = (Medium(math.inf), Medium(7.8), Medium(3.12))
+    GAPS = (0.05, 0.3, 1.5)
+    L_CAP = 20
+
+    def _configs(self, media=MEDIA):
+        # labels outer, gaps inner, as the CLI builds them
+        return [_oblate_config(medium, z) for medium in media for z in self.GAPS]
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+        build = spectral._spheroid_coupling
+
+        def counted(particle, m, l_max):
+            builds.append((particle, m, l_max))
+            return build(particle, m, l_max)
+
+        monkeypatch.setattr(spectral, "_spheroid_coupling", counted)
+        return builds
+
+    def _cold_row(self, config):
+        spectral._held.cache_clear()
+        try:
+            return convergence_ladder(config, l_cap=self.L_CAP), None
+        except CasimirSpectralError as exc:
+            return None, str(exc)
+
+    def test_sharing_changes_no_row(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        spectral._held.cache_clear()
+        rows = energy_sweep(self._configs(), l_cap=self.L_CAP)
+        swept = list(builds)
+        assert any(row.error for row in rows[:: len(self.GAPS)])  # smallest gap fails
+        for row in rows:
+            sample, error = self._cold_row(row.config)
+            assert row.error == error
+            if sample is not None:
+                assert row.sample.xi == sample.xi
+                assert row.sample.l_max_used == sample.l_max_used
+                assert row.sample.converged == sample.converged
+        assert len(set(swept)) == len(swept)  # each (particle, m, l_max) once
+        builds.clear()
+        for config in self._configs(self.MEDIA[:1]):
+            self._cold_row(config)
+        assert len(swept) == len(builds)
+
+    def test_nothing_outlives_the_sweep(self):
+        energy_sweep(self._configs(), l_cap=self.L_CAP)
+        assert spectral._shared_D == {}
+        convergence_ladder(_oblate_config(self.MEDIA[0], 1.5))
+        assert spectral._shared_D == {}
+
+    def test_nothing_outlives_a_raising_sweep(self, monkeypatch):
+        ladder = energy.convergence_ladder
+        calls, held = [], []
+
+        def second_raises(config, **kwargs):
+            calls.append(config)
+            if len(calls) == 2:
+                held.extend(D for kept in spectral._shared_D.values() for D in kept.values())
+                raise RuntimeError("not a package error")
+            return ladder(config, **kwargs)
+
+        monkeypatch.setattr(energy, "convergence_ladder", second_raises)
+        with pytest.raises(RuntimeError):
+            energy_sweep(self._configs(), l_cap=self.L_CAP)
+        assert held and not any(D.flags.writeable for D in held)
+        assert spectral._shared_D == {}
+
+    def test_fig1_holds_under_one_mib(self, tmp_path, monkeypatch):
+        ladder = energy.convergence_ladder
+        peak = 0
+
+        def measured(config, **kwargs):
+            nonlocal peak
+            try:
+                return ladder(config, **kwargs)
+            finally:
+                peak = max(peak, _held_bytes())
+
+        monkeypatch.setattr(energy, "convergence_ladder", measured)
+        cfg = tmp_path / "fig1.cfg"
+        cfg.write_text("# the default grid\n")
+        assert cli.main(["fig1", "--config", str(cfg), "--output", str(tmp_path / "f.csv")]) == 0
+        assert 0 < peak <= 1 << 20
+        assert spectral._shared_D == {}

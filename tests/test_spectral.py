@@ -143,6 +143,20 @@ class TestCouplingMatrix:
         assert np.array_equal(D, D.T)
         assert np.max(np.abs(D)) > 0.0
 
+    @pytest.mark.parametrize(
+        "spheroid",
+        [Spheroid.sphere(1.0), Spheroid.prolate(2.0, 1.0), Spheroid.oblate(1.4, 1.0)],
+        ids=lambda s: s.family.value,
+    )
+    def test_tables_are_read_only(self, spheroid):
+        # an energy_sweep hands one D to the ladders of every substrate, so
+        # no caller may write into it; n_iso follows the same contract
+        D = coupling_matrix_D(PlacedParticle(spheroid, gap=0.5), 1, 6)
+        n_iso = isolated_depolarization_table(spheroid, 1, 6)
+        for table in (D, n_iso):
+            with pytest.raises(ValueError):
+                table[-1, ...] = 0.0
+
 
 class TestSpectralBlocks:
     def test_image_dipole_shift(self):
