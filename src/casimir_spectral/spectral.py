@@ -29,7 +29,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg.lapack import dsyevr, dsyevr_lwork
-from scipy.special import gammaln
 
 from .errors import (
     ContractViolationError,
@@ -40,6 +39,7 @@ from .errors import (
 )
 from .model import Family, PlacedParticle, Spheroid, SystemConfig, spheroid_xi0
 from .specfun import (
+    log_factorials,
     normalized_ferrers_table,
     oblate_radial_table,
     prolate_radial_table,
@@ -187,7 +187,7 @@ def _sphere_coupling(a: float, d: float, m: int, l_max: int) -> np.ndarray:
     l_min = max(1, m)
     ls = np.arange(l_min, l_max + 1)
     log_ratio = math.log(a / (2.0 * d))
-    lf = gammaln(np.arange(2 * l_max + 2) + 1.0)  # lf[n] = log_factorial(n)
+    lf = log_factorials(2 * l_max + 1)
     half = np.array(
         [0.5 * (math.log(l / (2.0 * l + 1.0)) - lf[l + m] - lf[l - m]) for l in ls]
     )

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from casimir_spectral.errors import SpecFunDomainError, SpecFunOverflowError
 from casimir_spectral.specfun import (
     log_factorial,
+    log_factorials,
     normalized_ferrers_table,
     oblate_radial_table,
     prolate_radial_table,
@@ -32,6 +33,11 @@ class TestLogFactorial:
         assert log_factorial(n + 1) - log_factorial(n) == pytest.approx(
             math.log(n + 1), rel=1e-12
         )
+
+    def test_table_matches_scalar_bit_for_bit(self):
+        table = log_factorials(401)
+        assert table.shape == (402,)
+        assert all(table[n] == log_factorial(n) for n in range(402))
 
 
 class TestProlateRadial:
