@@ -2,9 +2,12 @@
 flat substrate, via diagonalization of the multipolar surface-plasmon
 coupling matrix, with a Proximity Force Approximation comparison.
 
-`import casimir_spectral` loads numpy, scipy.linalg and scipy.special only;
-the PFA names (`mode_integral`, `pfa_energy_sphere_plane`,
-`plate_energy_per_area`) load `pfa`, and with it scipy.integrate, on first use."""
+`import casimir_spectral` loads numpy and scipy.linalg only; the PFA names
+(`mode_integral`, `pfa_energy_sphere_plane`, `plate_energy_per_area`) load
+`pfa`, and with it scipy.integrate, on first use.  ln(n!) is a port of the
+Cephes code behind scipy.special.gammaln, bit for bit the same, so the core
+does not load scipy.special; math.lgamma would move far-field Xi by up to
+2.9e-10."""
 
 __version__ = "0.1.0"
 
@@ -24,6 +27,7 @@ from .model import (
     contrast_fc,
 )
 from .spectral import (
+    SectorModes,
     SpectralBlock,
     coupling_matrix_D,
     effective_polarizability,
@@ -63,6 +67,7 @@ __all__ = [
     "Spheroid",
     "SystemConfig",
     "contrast_fc",
+    "SectorModes",
     "SpectralBlock",
     "coupling_matrix_D",
     "effective_polarizability",

@@ -301,20 +301,27 @@ def coupling_matrix_D(particle: PlacedParticle, m: int, l_max: int) -> np.ndarra
 
 
 @dataclass(frozen=True)
-class SpectralBlock:
-    """Eigendecomposition of one azimuthal sector's coupling matrix."""
+class SectorModes:
+    """The modes of one azimuthal sector, all that the zero-point energy
+    reads."""
 
     m: int
     l_min: int
-    H: np.ndarray
     isolated: np.ndarray  # ascending n_iso, the modes at infinite gap
     eigenvalues: np.ndarray  # ascending
-    eigenvectors: np.ndarray  # columns are modes
-    strengths: np.ndarray  # C[l_index, mode] = U[l_index, mode]^2
 
     @property
     def multiplicity(self) -> int:
         return 1 if self.m == 0 else 2
+
+
+@dataclass(frozen=True)
+class SpectralBlock(SectorModes):
+    """Eigendecomposition of one azimuthal sector's coupling matrix."""
+
+    H: np.ndarray
+    eigenvectors: np.ndarray  # columns are modes
+    strengths: np.ndarray  # C[l_index, mode] = U[l_index, mode]^2
 
 
 def eigendecompose(H: np.ndarray):
@@ -374,8 +381,12 @@ def spectral_block(config: SystemConfig, m: int) -> SpectralBlock:
 
 
 def mode_spectrum(config: SystemConfig) -> tuple:
-    """The SpectralBlock of every sector m = 0..l_max, in order of m."""
-    blocks = []
+    """The SectorModes of every sector m = 0..l_max, in order of m.
+
+    Each sector's H, eigenvectors and strengths are dropped once its
+    eigenvalues pass the (0, 1) check: at l_max = 90 they would hold about
+    6 MiB until the last sector is solved."""
+    sectors = []
     for m in range(config.l_max + 1):
         block = spectral_block(config, m)
         lo = float(block.eigenvalues[0])
@@ -385,8 +396,8 @@ def mode_spectrum(config: SystemConfig) -> tuple:
                 f"eigenvalue outside (0,1) in sector m={m}: "
                 f"min={lo:.6g}, max={hi:.6g}; increase l_max or the gap"
             )
-        blocks.append(block)
-    return tuple(blocks)
+        sectors.append(SectorModes(m, block.l_min, block.isolated, block.eigenvalues))
+    return tuple(sectors)
 
 
 def effective_polarizability(config: SystemConfig, omega: float, l: int, m: int) -> float:

@@ -28,6 +28,11 @@ class TestLogFactorial:
         assert log_factorial(0) == 0.0
         assert log_factorial(5) == pytest.approx(math.log(120.0))
 
+    @pytest.mark.parametrize("n", [-1, 2.5, math.nan, math.inf])
+    def test_domain(self, n):
+        with pytest.raises(SpecFunDomainError):
+            log_factorial(n)
+
     @given(st.integers(0, 300))
     def test_recurrence(self, n):
         assert log_factorial(n + 1) - log_factorial(n) == pytest.approx(
@@ -38,6 +43,17 @@ class TestLogFactorial:
         table = log_factorials(401)
         assert table.shape == (402,)
         assert all(table[n] == log_factorial(n) for n in range(402))
+
+    def test_port_is_gammaln_bit_for_bit(self):
+        # the reference the Cephes port replaces in the package
+        from scipy.special import gammaln
+
+        ref = gammaln(np.arange(100_001) + 1.0).tolist()
+        bad = [n for n in range(100_001) if log_factorial(n) != ref[n]]
+        assert not bad, bad[:10]
+        # past x = 1e8 lgam drops the series
+        for n in (10**8 - 2, 10**8 - 1, 10**8, 10**12):
+            assert log_factorial(n) == float(gammaln(n + 1.0)), n
 
 
 class TestProlateRadial:

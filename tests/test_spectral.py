@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -225,6 +226,38 @@ class TestSpectralBlocks:
         # the cached tables cannot be changed by a caller
         table = isolated_depolarization_table(cfg.particle.spheroid, 10, 10)
         assert not table.flags.writeable
+
+    @pytest.mark.parametrize(
+        "spheroid",
+        [Spheroid.sphere(1.0), Spheroid.prolate(2.0, 1.0), Spheroid.oblate(1.4, 1.0)],
+        ids=["sphere", "prolate", "oblate"],
+    )
+    def test_mode_spectrum_matches_spectral_block(self, spheroid):
+        cfg = _config(spheroid, 0.3, Medium.constant(3.12), l_max=12)
+        sectors = mode_spectrum(cfg)
+        assert [s.m for s in sectors] == list(range(13))
+        for m, sector in enumerate(sectors):
+            block = spectral_block(cfg, m)
+            assert sector.l_min == block.l_min
+            assert sector.multiplicity == block.multiplicity
+            assert np.array_equal(sector.eigenvalues, block.eigenvalues)
+            assert np.array_equal(sector.isolated, block.isolated)
+
+    def test_mode_spectrum_keeps_no_vectors(self):
+        # oblate 1.5 at z/r_min = 0.05 over a perfect conductor, l_max = 90:
+        # the bound lies between the 2.17 MiB peak of eigenvalues only and
+        # the 7.06 MiB of every sector's H, vectors and strengths kept
+        # until the sum ends
+        cfg = _config(Spheroid.oblate(1.5, 1.0), 0.05, Medium.perfect_conductor(), l_max=90)
+        spectral._held.cache_clear()
+        spectral._quad_nodes.cache_clear()
+        tracemalloc.start()
+        try:
+            zero_point_energy(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize(
         "spheroid", [Spheroid.prolate(2.0, 1.0), Spheroid.oblate(1.4, 1.0)], ids=["prolate", "oblate"]
