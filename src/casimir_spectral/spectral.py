@@ -317,16 +317,21 @@ class SectorModes:
 
 @dataclass(frozen=True)
 class SpectralBlock(SectorModes):
-    """Eigendecomposition of one azimuthal sector's coupling matrix."""
+    """Eigendecomposition of one azimuthal sector's coupling matrix; the
+    mode strengths are derived from the eigenvectors where they are read."""
 
     H: np.ndarray
     eigenvectors: np.ndarray  # columns are modes
-    strengths: np.ndarray  # C[l_index, mode] = U[l_index, mode]^2
+
+    @property
+    def strengths(self) -> np.ndarray:
+        """C[l_index, mode] = U[l_index, mode]^2; each column sums to 1."""
+        return self.eigenvectors**2
 
 
 def eigendecompose(H: np.ndarray):
-    """Eigenvalues (ascending), orthogonal eigenvectors, and strengths of a
-    real symmetric matrix."""
+    """(eigenvalues, eigenvectors) of a real symmetric matrix: eigenvalues
+    ascending, eigenvectors orthonormal, one per column."""
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ContractViolationError("H must be a square matrix")
@@ -343,7 +348,7 @@ def eigendecompose(H: np.ndarray):
     vals, vecs, _, _, info = dsyevr(H, compute_v=1, lower=1, lwork=lwork, liwork=liwork)
     if info != 0:
         raise ContractViolationError(f"LAPACK dsyevr failed with info = {info}")
-    return vals, vecs, vecs**2
+    return vals, vecs
 
 
 @lru_cache(maxsize=None)
@@ -368,7 +373,7 @@ def spectral_block(config: SystemConfig, m: int) -> SpectralBlock:
     f_c = config.f_c
     if f_c != 0.0:
         H = H + f_c * coupling_matrix_D(config.particle, m, config.l_max)
-    vals, vecs, C = eigendecompose(H)
+    vals, vecs = eigendecompose(H)
     return SpectralBlock(
         m=m,
         l_min=l_min,
@@ -376,16 +381,15 @@ def spectral_block(config: SystemConfig, m: int) -> SpectralBlock:
         isolated=np.sort(n_iso),
         eigenvalues=vals,
         eigenvectors=vecs,
-        strengths=C,
     )
 
 
 def mode_spectrum(config: SystemConfig) -> tuple:
     """The SectorModes of every sector m = 0..l_max, in order of m.
 
-    Each sector's H, eigenvectors and strengths are dropped once its
-    eigenvalues pass the (0, 1) check: at l_max = 90 they would hold about
-    6 MiB until the last sector is solved."""
+    Each sector's H and eigenvectors are dropped once its eigenvalues pass
+    the (0, 1) check: at l_max = 90 they would hold about 4 MiB until the
+    last sector is solved."""
     sectors = []
     for m in range(config.l_max + 1):
         block = spectral_block(config, m)

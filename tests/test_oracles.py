@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from casimir_spectral.errors import MeshResolutionError, SpecFunDomainError
+from casimir_spectral.errors import SpecFunDomainError
 from casimir_spectral.model import PlacedParticle, Spheroid
 from casimir_spectral.oracles import (
     Axis,
-    bem_converged_eigenvalues,
     build_mesh,
     depolarization_integral,
     image_dipole_modes,
@@ -94,17 +93,3 @@ class TestBem:
         u_free = quasistatic_bem(particle, 0.0, 0, mesh)
         u_coupled = quasistatic_bem(particle, -1.0, 0, mesh)
         assert np.all(u_coupled < u_free)
-
-    def test_refinement_drift_check(self):
-        particle = PlacedParticle(Spheroid.prolate(2.0, 1.0), gap=5.0)
-        u = bem_converged_eigenvalues(
-            particle, 0.0, 0, resolutions=(48, 96), drift_tol=0.02
-        )
-        assert u.shape == (3,)
-
-    def test_mesh_failure_raises(self):
-        particle = PlacedParticle(Spheroid.sphere(1.0), gap=1.0)
-        with pytest.raises(MeshResolutionError):
-            bem_converged_eigenvalues(
-                particle, -1.0, 0, resolutions=(8, 96), drift_tol=1e-9
-            )
