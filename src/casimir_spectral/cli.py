@@ -168,7 +168,7 @@ def _validate(scenario: str, params: dict) -> None:
     if substrate is None and (configured or scenario == "modes"):
         raise ConfigParseError(
             f"scenario {scenario!r} requires substrate.epsilon or "
-            "substrate.perfect_conductor"
+            "substrate.perfect_conductor = true"
         )
 
 

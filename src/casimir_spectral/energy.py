@@ -88,7 +88,8 @@ def convergence_ladder(
                 )
         prev = sample
     raise ConvergenceError(
-        f"energy not converged to {tolerance:g} at l_max cap {l_cap} "
+        f"energy not converged to {tolerance:g} at l_max {history[-1][0]}, the last "
+        f"rung within the cap {l_cap} "
         f"(z/r_min = {config.particle.gap / config.particle.spheroid.r_minor:.4g})",
         diagnostics={"history": history},
     )

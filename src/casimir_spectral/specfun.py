@@ -120,13 +120,12 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float, derivativ
     lie in its domain.
 
     Returns four stacks of shape (len(ms), l_max+1, len(x)), with None for
-    dP and dQ unless derivatives is set; they are computed and checked
-    either way.  Each order's entries go through the same floating-point
-    operations whatever the range, so a stack's k-th table is bit-identical
-    to the table of a call for ms[k] alone.  A step in l touches the orders
-    with m <= l <= L_m, and because both grow with m, they are one slice.
-    Raises SpecFunOverflowError for the lowest order whose tables are not
-    finite.
+    dP and dQ unless derivatives is set.  Each order's entries go through
+    the same floating-point operations whatever the range, so a stack's
+    k-th table is bit-identical to the table of a call for ms[k] alone.  A
+    step in l touches the orders with m <= l <= L_m, and because both grow
+    with m, they are one slice.  Raises SpecFunOverflowError for the lowest
+    order whose returned tables are not finite.
     """
     n, m0 = len(ms), ms.start
     # a table ends at L_m = l_max, except at m = l_max, whose Wronskian
@@ -184,21 +183,20 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float, derivativ
         q[a:b, l + 1] *= q[a:b, l]  # nQ_{l+1} = ratio * nQ_l
     finite &= np.isfinite(q).all(axis=(1, 2))
 
-    # l = m: the lower term is absent, and the Wronskian gives nQ'_m
-    dPm = mv[:, None] * x * nPm / w
-    dQm = (T + dPm * q[rows, mv]) / nPm
-    finite &= np.isfinite(dPm).all(axis=1) & np.isfinite(dQm).all(axis=1)
     ndP = ndQ = None
     if derivatives:
+        # l = m: the lower term is absent, and the Wronskian gives nQ'_m
+        dPm = mv[:, None] * x * nPm / w
+        dQm = (T + dPm * q[rows, mv]) / nPm
+        finite &= np.isfinite(dPm).all(axis=1) & np.isfinite(dQm).all(axis=1)
         ndP, ndQ = np.zeros_like(nP), np.zeros_like(q)
         ndP[rows, mv], ndQ[rows, mv] = dPm, dQm
-    for k, m in enumerate(ms):
-        hi = (L if k >= n_short else l_max) + 1
-        lx = np.arange(m + 1, hi)[:, None] * x
-        dP = (lx * nP[k, m + 1 : hi] - ss[m + 1 : hi, k] * nP[k, m : hi - 1]) / w
-        dQ = (lx * q[k, m + 1 : hi] - s[m + 1 : hi, k] * q[k, m : hi - 1]) / w
-        finite[k] &= np.isfinite(dP).all() and np.isfinite(dQ).all()
-        if derivatives:
+        for k, m in enumerate(ms):
+            hi = (L if k >= n_short else l_max) + 1
+            lx = np.arange(m + 1, hi)[:, None] * x
+            dP = (lx * nP[k, m + 1 : hi] - ss[m + 1 : hi, k] * nP[k, m : hi - 1]) / w
+            dQ = (lx * q[k, m + 1 : hi] - s[m + 1 : hi, k] * q[k, m : hi - 1]) / w
+            finite[k] &= np.isfinite(dP).all() and np.isfinite(dQ).all()
             ndP[k, m + 1 : hi], ndQ[k, m + 1 : hi] = dP, dQ
 
     if not finite.all():
@@ -225,7 +223,7 @@ def prolate_radial_table(m, l_max: int, x, derivatives: bool = True):
 
     Returns four arrays of shape (l_max+1, len(x)); rows below l = m are
     zero.  Derivatives are with respect to x; with derivatives=False, dP
-    and dQ are None (they are still computed and checked for overflow).
+    and dQ are None, and only P and Q are computed and checked.
     With m a range of consecutive orders, each array is a stack of shape
     (len(m), l_max+1, len(x)) of the tables of those orders.
     """

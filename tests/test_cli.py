@@ -99,6 +99,24 @@ REJECTED = {
     "substrate_epsilon_negative": ("modes", {"substrate.epsilon": "-2"}),
     "ambient_epsilon_zero": ("modes", {"ambient.epsilon": "0"}),
     "ladder_cap_below_two_rungs": ("energy_sweep", {"truncation.l_max": "9"}),
+    "perfect_conductor_not_boolean": ("modes", {"substrate.perfect_conductor": "maybe"}),
+    "grid_two_fields": ("energy_sweep", {"sweep.z_over_rmin": "0.5:2"}),
+    "grid_stop_below_start": ("energy_sweep", {"sweep.z_over_rmin": "2:0.5:3"}),
+    "grid_degenerate": ("energy_sweep", {"sweep.z_over_rmin": "1:1:3"}),
+    "tolerance_zero": ("energy_sweep", {"truncation.tolerance": "0"}),
+}
+
+# parse_config errors that main cannot reach (it passes a known scenario)
+# or that need a document no key-value table writes
+PARSE_ERRORS = {
+    "line_without_equals": ("geometry.r_major 2.0", "modes", "expected 'key = value' on line 1"),
+    "duplicate_key": (
+        "ambient.epsilon = 1\n# again\nambient.epsilon = 2",
+        "modes",
+        "duplicate key 'ambient.epsilon' on line 3",
+    ),
+    "no_scenario": ("substrate.epsilon = 2", None, "no scenario given"),
+    "unknown_scenario": ("substrate.epsilon = 2", "fig9", "unknown scenario 'fig9'"),
 }
 
 
@@ -176,8 +194,26 @@ class TestParseConfig:
             parse_config("scenario = modes", scenario="fig1")
 
     def test_substrate_required(self):
-        with pytest.raises(ConfigParseError):
-            parse_config("geometry.r_major = 1.0", scenario="energy_sweep")
+        expected = (
+            "scenario 'energy_sweep' requires substrate.epsilon or "
+            "substrate.perfect_conductor = true"
+        )
+        for text in ("geometry.r_major = 1.0", "substrate.perfect_conductor = false"):
+            with pytest.raises(ConfigParseError) as info:
+                parse_config(text, scenario="energy_sweep")
+            assert str(info.value) == expected
+
+    def test_scenario_from_file(self):
+        cfg = parse_config("scenario = modes\nsubstrate.epsilon = 2")
+        assert cfg.scenario == "modes"
+        assert "scenario" not in cfg.parameters
+
+    @pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+    def test_parse_error(self, case):
+        text, scenario, message = PARSE_ERRORS[case]
+        with pytest.raises(ConfigParseError) as info:
+            parse_config(text, scenario=scenario)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("case", sorted(REJECTED))
     def test_rejected(self, tmp_path, capsys, case):
@@ -278,6 +314,16 @@ class TestScenarios:
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["modes", "--config", str(tmp_path / "nope.cfg")]) == 3
+
+    def test_output_in_missing_directory_is_io_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SPHERE_CFG)
+        out_path = tmp_path / "missing" / "modes.csv"
+        args = ["modes", "--config", str(cfg_path), "--output", str(out_path)]
+        assert main(args) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("i/o error: ")
+        assert not out_path.parent.exists()
 
     def test_usage_error_exit(self):
         with pytest.raises(SystemExit) as info:

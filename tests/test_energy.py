@@ -104,10 +104,22 @@ class TestConvergenceLadder:
             convergence_ladder(cfg, l_cap=15)
         assert "history" in info.value.diagnostics
 
+    def test_failed_ladder_names_last_rung_and_cap(self):
+        # rungs are l = 5, 10: the cap 12 is never a rung itself
+        with pytest.raises(ConvergenceError) as info:
+            convergence_ladder(_sphere_config(0.01), l_cap=12)
+        assert info.value.diagnostics["history"][-1][0] == 10
+        assert "at l_max 10, the last rung within the cap 12 " in str(info.value)
+
     def test_cap_below_two_rungs_raises(self):
         # rungs are l = 5, 10, ...: a cap below 10 would compare no two rungs
         with pytest.raises(ValueError, match="l_cap"):
             convergence_ladder(_sphere_config(1.0), l_cap=9)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-3, math.nan])
+    def test_non_positive_tolerance_raises(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            convergence_ladder(_sphere_config(1.0), tolerance=tolerance)
 
     def test_l_max_used_decreases_with_distance(self):
         orders = [

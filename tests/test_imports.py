@@ -1,6 +1,12 @@
+import importlib
+import pathlib
 import subprocess
 import sys
 import textwrap
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _run(src_env, tmp_path, code):
@@ -76,3 +82,14 @@ def test_unknown_name_raises_attribute_error(src_env, tmp_path):
         assert not hasattr(casimir_spectral, "no_such_name")
         """,
     )
+
+
+def test_console_scripts_resolve():
+    # every [project.scripts] entry names a module and a callable in it
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))

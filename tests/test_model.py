@@ -40,6 +40,8 @@ class TestSpheroid:
         assert s.r_perp == 1.0
         assert s.r_par == 2.0
         assert s.apex_curvature_radius == pytest.approx(4.0)
+        # the symmetry axis is the short one
+        assert s.volume == pytest.approx(4.0 * math.pi / 3.0 * 4.0)
 
     def test_invalid_axes(self):
         with pytest.raises(ValueError):
@@ -60,6 +62,8 @@ class TestSpheroid:
         assert oblate.focal_scale * zeta0 == pytest.approx(oblate.r_minor)
         with pytest.raises(DegenerateCoordinateError):
             spheroid_xi0(Spheroid.sphere(1.0))
+        with pytest.raises(DegenerateCoordinateError):
+            Spheroid.sphere(1.0).focal_scale
 
     @given(
         st.floats(1.01, 10.0),
@@ -122,6 +126,11 @@ class TestSystemConfig:
             substrate_medium=Medium.perfect_conductor(),
         )
         assert cfg.f_c == -1.0
+
+    def test_l_max_below_one_rejected(self):
+        particle = PlacedParticle(Spheroid.sphere(1.0), gap=1.0)
+        with pytest.raises(ValueError, match="l_max"):
+            SystemConfig(particle, Medium.perfect_conductor(), l_max=0)
 
     def test_scaled_config(self):
         cfg = SystemConfig(

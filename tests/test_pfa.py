@@ -18,6 +18,9 @@ class TestPlateModes:
         for f_c in (0.01, -0.01):
             assert mode_integral(f_c) == pytest.approx(f_c / 8.0, rel=0.01)
 
+    def test_mode_integral_zero_contrast(self):
+        assert mode_integral(0.0) == 0.0
+
     def test_mode_integral_conductor(self):
         value = mode_integral(-1.0)
         assert value < 0.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -175,6 +176,41 @@ class TestBatchedTables:
             prolate_radial_table(m, 150, x)
         assert str(single.value) == str(batched.value)
 
+    def test_values_only_call_serves_orders_whose_derivatives_overflow(self):
+        # at the aspect-158 needle the derivatives of orders 139 and 140
+        # overflow at l_max = 150, but their P and Q are finite
+        x = [1.0 + 2e-5]
+        with pytest.raises(SpecFunOverflowError) as full:
+            prolate_radial_table(range(136, 141), 150, x)
+        assert full.value.m == 139
+        P, dP, Q, dQ = prolate_radial_table(range(136, 141), 150, x, derivatives=False)
+        assert dP is None and dQ is None
+        assert np.isfinite(P).all() and np.isfinite(Q).all()
+        for k, m in enumerate(range(136, 141)):
+            single = prolate_radial_table(m, 150, x, derivatives=m < 139)
+            assert np.array_equal(P[k], single[0]) and np.array_equal(Q[k], single[2])
+        with pytest.raises(SpecFunOverflowError) as values:
+            prolate_radial_table(range(136, 142), 150, x, derivatives=False)
+        assert values.value.m == 141
+
+    @pytest.mark.parametrize(
+        "table, coord",
+        [(prolate_radial_table, (1.0005, 4.0)), (oblate_radial_table, (0.02, 3.0))],
+        ids=["prolate", "oblate"],
+    )
+    def test_values_only_call_allocates_no_derivative_stacks(self, table, coord):
+        # a mirror-point call: its peak holds the returned P and Q stacks
+        # and working space, not the two derivative stacks as well
+        x = np.linspace(*coord, 244)
+        table(range(2), 90, x, derivatives=False)  # warm the caches
+        tracemalloc.start()
+        try:
+            table(range(2), 90, x, derivatives=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 * 91 * 244 * 8
+
     @pytest.mark.parametrize("orders", [range(0), range(0, 4, 2), range(3, 7)])
     def test_bad_ranges(self, orders):
         with pytest.raises(SpecFunDomainError):
@@ -235,6 +271,11 @@ class TestFerrers:
             for l in range(m, 9):
                 sign = (-1.0) ** (l + m)
                 assert table_n[l, 0] == pytest.approx(sign * table_p[l, 0], rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [1.0 + 1e-15, -2.0])
+    def test_domain_check(self, eta):
+        with pytest.raises(SpecFunDomainError):
+            normalized_ferrers_table(0, 5, [0.5, eta])
 
     @pytest.mark.parametrize("eta", [1.0, -1.0])
     @pytest.mark.parametrize("m", [0, 1, 3])

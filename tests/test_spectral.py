@@ -81,6 +81,11 @@ class TestIsolatedDepolarization:
             with pytest.raises(CasimirSpectralError):
                 isolated_depolarization(spheroid, 1, 0)
 
+    @pytest.mark.parametrize("l, m", [(0, 0), (1, -1), (2, 3)])
+    def test_order_outside_domain_raises(self, l, m):
+        with pytest.raises(SpecFunDomainError):
+            isolated_depolarization(Spheroid.sphere(1.0), l, m)
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.floats(1.05, 5.0),
@@ -501,6 +506,10 @@ class TestSpectralBlocks:
         with pytest.raises(CasimirSpectralError):
             zero_point_energy(cfg)
 
+    def test_non_square_fails_shape_check(self):
+        with pytest.raises(ContractViolationError, match="square"):
+            spectral.eigendecompose(np.zeros((2, 3)))
+
     def test_nan_fails_symmetry_check(self):
         H = np.eye(3)
         H[0, 1] = np.nan
@@ -580,6 +589,13 @@ class TestEffectivePolarizability:
         # omega = 0 means u = 0, below every mode: polarizability positive
         alpha = effective_polarizability(cfg, 0.0, 1, 0)
         assert alpha > 0.0
+
+    @pytest.mark.parametrize("l, m", [(0, 0), (1, 2), (11, 0)])
+    def test_order_outside_block_raises(self, l, m):
+        # the block of sector m holds l = max(1, m)..l_max
+        cfg = _config(Spheroid.sphere(1.0), 1.0, Medium.perfect_conductor(), l_max=10)
+        with pytest.raises(SpecFunDomainError):
+            effective_polarizability(cfg, 0.4, l, m)
 
     def test_pole_raises(self):
         # u = omega^2 lands exactly on a mode only where sqrt(n)^2 == n,
