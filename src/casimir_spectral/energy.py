@@ -12,6 +12,7 @@ sector.  Local power-law exponents are reported against ln(1 + z/r_min).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,8 +68,9 @@ def convergence_ladder(
     """
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
-    if l_cap < 2 * L_STEP:  # the ladder compares two rungs
-        raise ValueError(f"l_cap must be >= {2 * L_STEP}")
+    if not isinstance(l_cap, numbers.Integral) or l_cap < 2 * L_STEP:
+        # the ladder compares two rungs
+        raise ValueError(f"l_cap must be an integer >= {2 * L_STEP}")
     prev = None
     history = []
     for l in range(L_STEP, l_cap + 1, L_STEP):

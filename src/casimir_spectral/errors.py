@@ -36,10 +36,6 @@ class UnphysicalModeError(CasimirSpectralError, ValueError):
 class PoleError(CasimirSpectralError, ZeroDivisionError):
     """Effective polarizability evaluated exactly on a mode resonance."""
 
-    def __init__(self, message, mode_index=None):
-        super().__init__(message)
-        self.mode_index = mode_index
-
 
 class ConvergenceError(CasimirSpectralError, RuntimeError):
     """Multipolar truncation ladder hit its cap without meeting tolerance."""

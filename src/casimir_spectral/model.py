@@ -15,6 +15,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -55,10 +56,6 @@ class Spheroid:
     @classmethod
     def oblate(cls, r_major: float, r_minor: float) -> "Spheroid":
         return cls(r_major, r_minor, Family.OBLATE)
-
-    @property
-    def aspect_ratio(self) -> float:
-        return self.r_major / self.r_minor
 
     @property
     def eccentricity(self) -> float:
@@ -185,8 +182,8 @@ class SystemConfig:
     l_max: int = 10
 
     def __post_init__(self):
-        if self.l_max < 1:
-            raise ValueError("l_max must be >= 1")
+        if not isinstance(self.l_max, numbers.Integral) or self.l_max < 1:
+            raise ValueError("l_max must be an integer >= 1")
         # Keys f_c early so invalid media fail at construction.
         contrast_fc(self.ambient_epsilon, self.substrate_medium)
 

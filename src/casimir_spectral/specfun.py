@@ -22,11 +22,13 @@ w = x^2 - sigma:
 P is generated by forward recurrence in l; Q by a downward continued
 fraction for the ratio nQ_{l+1}/nQ_l, anchored with the Wronskian.
 
-ln(n!) is Cephes lgam (Moshier, Methods and Programs for Mathematical
-Functions, 1989) at x = n + 1, the code scipy.special.gammaln runs, so the
-port equals gammaln(n + 1.0) bit for bit without importing scipy.special;
-math.lgamma differs from it in the last bit at about half of the integers,
-which moves far-field Xi by up to 2.9e-10 relative.
+ln(n!) has one entry point, the read-only table :func:`log_factorials`,
+which the seeds of both kernels and the sphere coupling read.  Its entries
+are Cephes lgam (Moshier, Methods and Programs for Mathematical Functions,
+1989) at x = n + 1, the code scipy.special.gammaln runs, so they equal
+gammaln(n + 1.0) bit for bit without importing scipy.special; math.lgamma
+differs from it in the last bit at about half of the integers, which moves
+far-field Xi by up to 2.9e-10 relative.
 """
 
 from __future__ import annotations
@@ -52,13 +54,6 @@ _LGAM_A = (
 _LS2PI = 0.91893853320467274178
 
 
-def log_factorial(n: int) -> float:
-    """ln(n!) for integer n >= 0, equal to scipy.special.gammaln(n + 1.0)."""
-    if not (0 <= n < math.inf and int(n) == n):  # NaN fails the first test
-        raise SpecFunDomainError("log_factorial requires a non-negative integer")
-    return _lgam_int(int(n))
-
-
 @lru_cache(maxsize=1024)  # the package asks for n <= 2 l_max + 1 only
 def _lgam_int(n: int) -> float:
     """Cephes lgam at x = n + 1, in its operation order."""
@@ -82,8 +77,8 @@ def _lgam_int(n: int) -> float:
 
 @lru_cache(maxsize=None)
 def log_factorials(n_max: int) -> np.ndarray:
-    """Read-only ln(n!) for n = 0..n_max; entry n equals log_factorial(n)
-    bit for bit."""
+    """Read-only ln(n!) for n = 0..n_max, equal to
+    scipy.special.gammaln(n + 1.0) bit for bit."""
     table = np.array([_lgam_int(n) for n in range(n_max + 1)])
     table.flags.writeable = False
     return table
@@ -98,9 +93,10 @@ def _cf_extra_terms(theta_min: float) -> int:
     return min(_CF_CAP, max(60, int(42.0 / theta_min) + 10))
 
 
-def _seed_log_pmm(m: int) -> float:
-    # log of sqrt(1/(2m)!) * (2m-1)!!  =  0.5*lf(2m) - m*log2 - lf(m)
-    return 0.5 * log_factorial(2 * m) - m * _LOG2 - log_factorial(m)
+def _seed_log_pmm(mv: np.ndarray, l_max: int) -> np.ndarray:
+    # log of sqrt(1/(2m)!) * (2m-1)!!  =  0.5*lf(2m) - m*log2 - lf(m), m <= l_max
+    lf = log_factorials(2 * l_max + 1)
+    return 0.5 * lf[2 * mv] - mv * _LOG2 - lf[mv]
 
 
 def _orders(m, l_max: int) -> range:
@@ -145,7 +141,7 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float, derivativ
 
     nP = np.zeros((n, L + 1, x.size))
     # seed: nP_m^m = sqrt(1/(2m)!) (2m-1)!! w^{m/2}
-    seed = np.array([_seed_log_pmm(m) for m in ms])
+    seed = _seed_log_pmm(mv, l_max)
     nP[rows, mv] = np.exp(seed[:, None] + (0.5 * mv)[:, None] * np.log(w))
     # l = m: the lower term of the recurrence is absent
     nP[rows, mv + 1] = (2 * mv + 1)[:, None] * x * nP[rows, mv] / s[mv + 1, rows]
@@ -185,19 +181,16 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float, derivativ
 
     ndP = ndQ = None
     if derivatives:
-        # l = m: the lower term is absent, and the Wronskian gives nQ'_m
-        dPm = mv[:, None] * x * nPm / w
-        dQm = (T + dPm * q[rows, mv]) / nPm
-        finite &= np.isfinite(dPm).all(axis=1) & np.isfinite(dQm).all(axis=1)
         ndP, ndQ = np.zeros_like(nP), np.zeros_like(q)
-        ndP[rows, mv], ndQ[rows, mv] = dPm, dQm
-        for k, m in enumerate(ms):
-            hi = (L if k >= n_short else l_max) + 1
-            lx = np.arange(m + 1, hi)[:, None] * x
-            dP = (lx * nP[k, m + 1 : hi] - ss[m + 1 : hi, k] * nP[k, m : hi - 1]) / w
-            dQ = (lx * q[k, m + 1 : hi] - s[m + 1 : hi, k] * q[k, m : hi - 1]) / w
-            finite[k] &= np.isfinite(dP).all() and np.isfinite(dQ).all()
-            ndP[k, m + 1 : hi], ndQ[k, m + 1 : hi] = dP, dQ
+        # l = m: the lower term is absent, and the Wronskian gives nQ'_m
+        ndP[rows, mv] = mv[:, None] * x * nPm / w
+        ndQ[rows, mv] = (T + ndP[rows, mv] * q[rows, mv]) / nPm
+        for l in range(m0 + 1, L + 1):
+            a = n_short if l > l_max else 0  # rows with L_m >= l
+            b = min(l - m0, n)  # rows with m < l
+            ndP[a:b, l] = (l * x * nP[a:b, l] - ss[l, a:b] * nP[a:b, l - 1]) / w
+            ndQ[a:b, l] = (l * x * q[a:b, l] - s[l, a:b] * q[a:b, l - 1]) / w
+        finite &= np.isfinite(ndP).all(axis=(1, 2)) & np.isfinite(ndQ).all(axis=(1, 2))
 
     if not finite.all():
         k = int(np.flatnonzero(~finite)[0])
@@ -228,7 +221,7 @@ def prolate_radial_table(m, l_max: int, x, derivatives: bool = True):
     (len(m), l_max+1, len(x)) of the tables of those orders.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x <= 1.0):
+    if not np.all(x > 1.0):  # NaN fails it too
         raise SpecFunDomainError("prolate radial functions require x > 1")
     return _radial_call(m, l_max, x, 1.0, derivatives)
 
@@ -243,7 +236,7 @@ def oblate_radial_table(m, l_max: int, zeta, derivatives: bool = True):
     and a range of orders m work as for prolate_radial_table.
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    if np.any(zeta <= 0.0):
+    if not np.all(zeta > 0.0):
         raise SpecFunDomainError("oblate radial functions require zeta > 0")
     return _radial_call(m, l_max, zeta, -1.0, derivatives)
 
@@ -254,7 +247,7 @@ def normalized_ferrers_table(m, l_max: int, eta):
     or (len(m), l_max+1, len(eta)) for a range of consecutive orders m,
     whose k-th table is bit-identical to a call for m[k] alone."""
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if np.any(np.abs(eta) > 1.0):
+    if not np.all(np.abs(eta) <= 1.0):
         raise SpecFunDomainError("normalized Ferrers functions require |eta| <= 1")
     ms = _orders(m, l_max)
     n, m0 = len(ms), ms.start
@@ -262,16 +255,13 @@ def normalized_ferrers_table(m, l_max: int, eta):
     mf = mv.astype(float)
     rows = np.arange(n)
     out = np.zeros((n, l_max + 1, eta.size))
-    # Pbar_m^m = sqrt((2m+1)/2) * sqrt(1/(2m)!) (2m-1)!! (1-eta^2)^{m/2}
-    log_pre = np.array([0.5 * math.log((2 * m + 1) / 2.0) + _seed_log_pmm(m) for m in ms])
-    k0 = int(m0 == 0)
-    if k0:
-        out[0, 0] = math.exp(log_pre[0])
+    # Pbar_m^m = sqrt((2m+1)/2) * sqrt(1/(2m)!) (2m-1)!! (1-eta^2)^{m/2};
+    # np.log equals math.log on (2m+1)/2 for every m below 54 731
+    log_pre = 0.5 * np.log((2 * mv + 1) / 2.0) + _seed_log_pmm(mv, l_max)
     # at eta = +-1, log(0) = -inf makes the seed of m > 0 exactly 0
-    with np.errstate(divide="ignore"):
-        out[rows[k0:], mv[k0:]] = np.exp(
-            log_pre[k0:, None] + (0.5 * mf[k0:])[:, None] * np.log(1.0 - eta * eta)
-        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = np.where(mv[:, None] > 0, (0.5 * mf)[:, None] * np.log(1.0 - eta * eta), 0.0)
+    out[rows, mv] = np.exp(log_pre[:, None] + power)
     # fully-normalized forward recurrence; at l = m the lower term is absent
     k1 = n - (ms[-1] == l_max)  # rows with m < l_max
     out[rows[:k1], mv[:k1] + 1] = (

@@ -414,9 +414,7 @@ def effective_polarizability(config: SystemConfig, omega: float, l: int, m: int)
     n_s = block.eigenvalues
     idx = np.argmin(np.abs(u - n_s))
     if u == n_s[idx]:
-        raise PoleError(
-            f"u={u} sits exactly on mode {idx} of sector m={m}", mode_index=int(idx)
-        )
+        raise PoleError(f"u={u} sits exactly on mode {idx} of sector m={m}")
     C = block.strengths[l - block.l_min]
     v = config.particle.spheroid.volume
     return float(-(v / (4.0 * math.pi)) * np.sum(C / (u - n_s)))

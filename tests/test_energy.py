@@ -112,9 +112,11 @@ class TestConvergenceLadder:
         assert "at l_max 10, the last rung within the cap 12 " in str(info.value)
 
     def test_cap_below_two_rungs_raises(self):
-        # rungs are l = 5, 10, ...: a cap below 10 would compare no two rungs
-        with pytest.raises(ValueError, match="l_cap"):
-            convergence_ladder(_sphere_config(1.0), l_cap=9)
+        # rungs are l = 5, 10, ...: a cap below 10 would compare no two rungs,
+        # and a non-integral cap is no truncation order
+        for l_cap in (9, 12.5, 20.0, math.nan):
+            with pytest.raises(ValueError, match="l_cap"):
+                convergence_ladder(_sphere_config(1.0), l_cap=l_cap)
 
     @pytest.mark.parametrize("tolerance", [0.0, -1e-3, math.nan])
     def test_non_positive_tolerance_raises(self, tolerance):

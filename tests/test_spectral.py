@@ -31,7 +31,7 @@ from casimir_spectral.spectral import (
     mode_spectrum,
     spectral_block,
 )
-from casimir_spectral.specfun import log_factorial
+from casimir_spectral.specfun import log_factorials
 
 
 def _config(spheroid, gap, substrate, l_max=20):
@@ -484,14 +484,12 @@ class TestSpectralBlocks:
         a, d = 1.0, 1.3
         ls = range(max(1, m), l_max + 1)
         log_ratio = math.log(a / (2.0 * d))
-        half = [
-            0.5 * (math.log(l / (2.0 * l + 1.0)) - log_factorial(l + m) - log_factorial(l - m))
-            for l in ls
-        ]
+        lf = log_factorials(2 * l_max + 1)
+        half = [0.5 * (math.log(l / (2.0 * l + 1.0)) - lf[l + m] - lf[l - m]) for l in ls]
         expected = np.array(
             [
                 [
-                    math.exp(half[i] + half[j] + log_factorial(l + s) + (l + s + 1) * log_ratio)
+                    math.exp(half[i] + half[j] + lf[l + s] + (l + s + 1) * log_ratio)
                     for j, s in enumerate(ls)
                 ]
                 for i, l in enumerate(ls)
