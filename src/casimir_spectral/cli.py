@@ -4,9 +4,9 @@ Usage::
 
     casimir-spectral <scenario> --config <path> [--output <path>] [--strict]
 
-Scenarios: modes, energy_sweep, exponent, pfa_compare, convergence,
-verify, fig1, fig2, fig3, fig4.  Exit codes: 0 ok, 1 usage/parse error,
-2 numerical non-convergence (strict mode), a numerical failure or failed
+Scenarios: modes, energy_sweep, pfa_compare, convergence, verify, fig1,
+fig2, fig3, fig4.  Exit codes: 0 ok, 1 usage/parse error, 2 numerical
+non-convergence (strict mode), a numerical failure or failed
 verification, 3 I/O error.
 """
 
@@ -76,8 +76,6 @@ _KEYS = {
     "sweep.aspect_ratio": (_parse_grid, None),
     "truncation.l_max": (int, DEFAULT_L_CAP),
     "truncation.tolerance": (_finite, DEFAULT_TOLERANCE),
-    "scenario": (str, None),
-    "output": (str, None),
 }
 
 
@@ -99,7 +97,7 @@ class RunConfig:
         return "output.csv" if self.output_path is None else self.output_path
 
 
-def parse_config(text: str, scenario: str | None = None) -> RunConfig:
+def parse_config(text: str, scenario: str) -> RunConfig:
     """Parse a line-oriented ``key = value`` document with # comments."""
     params = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -129,24 +127,13 @@ def parse_config(text: str, scenario: str | None = None) -> RunConfig:
                 key=key,
             ) from exc
 
-    file_scenario = params.pop("scenario", None)
-    if scenario is None:
-        scenario = file_scenario
-    elif file_scenario is not None and file_scenario != scenario:
-        raise ConfigParseError(
-            f"scenario mismatch: command line says {scenario!r}, "
-            f"config says {file_scenario!r}"
-        )
-    if scenario is None:
-        raise ConfigParseError("no scenario given")
     if scenario not in SCENARIOS:
         raise ConfigParseError(f"unknown scenario {scenario!r}")
 
-    output = params.pop("output", None)
     merged = {key: value for key, (_, value) in _KEYS.items() if value is not None}
     merged.update(params)
     _validate(scenario, merged)
-    return RunConfig(scenario=scenario, parameters=merged, output_path=output)
+    return RunConfig(scenario=scenario, parameters=merged)
 
 
 def _validate(scenario: str, params: dict) -> None:
@@ -161,11 +148,10 @@ def _validate(scenario: str, params: dict) -> None:
             "substrate.epsilon and substrate.perfect_conductor are exclusive"
         )
     _built("ambient.epsilon", Medium.constant, params["ambient.epsilon"])
-    spheroid, substrate = _configured(params)
+    spheroid, _ = _configured(params)
     params["geometry.family"] = spheroid.family.value
-    # modes and the sweeps build the configured spheroid over the substrate
-    configured = getattr(_LADDERS.get(scenario), "system", None) is _configured
-    if substrate is None and (configured or scenario == "modes"):
+    spec = _SWEEP if scenario == "modes" else _LADDERS.get(scenario)
+    if spec is not None and any(sub is None for _, _, sub in spec.systems(params)):
         raise ConfigParseError(
             f"scenario {scenario!r} requires substrate.epsilon or "
             "substrate.perfect_conductor = true"
@@ -180,7 +166,7 @@ def _built(key: str, constructor, *args):
         raise ConfigParseError(f"bad {key}: {exc}", key=key) from exc
 
 
-def _configured(params: dict, label=None) -> tuple:
+def _configured(params: dict) -> tuple:
     """The configured spheroid and substrate; no substrate key gives None.
 
     Axes equal within 1e-12 relative make a sphere when the family is unset
@@ -260,17 +246,17 @@ def _z_grid(params: dict) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Ladder:
-    """A ladder scenario: each label over the z grid through energy_sweep.
+    """A ladder scenario: each row's system over the z grid through
+    energy_sweep.
 
-    ``system(params, label)`` gives a label's spheroid and substrate; grid
-    value z is the gap ``z * getattr(spheroid, gap_axis)``.  ``preamble``
-    maps the first point's config to extra preamble entries, and each
-    ``extra`` column is fn(config, sample).  With ``tag``, each label goes
-    to its own file, ``_<tag(label)>`` after the output stem.
+    ``systems(params)`` gives the rows ``(label, spheroid, substrate)``;
+    grid value z is the gap ``z * getattr(spheroid, gap_axis)``.
+    ``preamble`` maps the first point's config to extra preamble entries,
+    and each ``extra`` column is fn(config, sample).  With ``tag``, each
+    row goes to its own file, ``_<tag(label)>`` after the output stem.
     """
 
-    labels: Callable
-    system: Callable
+    systems: Callable
     grid: Callable = _z_grid
     gap_axis: str = "r_minor"
     preamble: Callable = lambda config: {}
@@ -278,9 +264,8 @@ class _Ladder:
     tag: Callable | None = None
 
 
-def _config_at(params: dict, spec: _Ladder, label: dict, z) -> SystemConfig:
-    """The SystemConfig of every scenario point: the label's system at z."""
-    spheroid, substrate = spec.system(params, label)
+def _config_at(params: dict, spec: _Ladder, spheroid, substrate, z) -> SystemConfig:
+    """The SystemConfig of every scenario point: a row's system at z."""
     return SystemConfig(
         particle=PlacedParticle(spheroid, gap=z * getattr(spheroid, spec.gap_axis)),
         substrate_medium=substrate,
@@ -290,8 +275,8 @@ def _config_at(params: dict, spec: _Ladder, label: dict, z) -> SystemConfig:
 
 
 def _run_ladder(run: RunConfig, spec: _Ladder) -> int:
-    """Run one energy_sweep over every label's grid, label by label, write
-    the CSV, return the exit code.
+    """Run one energy_sweep over every row's grid, row by row, write the
+    CSV, return the exit code.
 
     One record per (label, z) holds the label's keys, the base columns and,
     on converged rows, the extra columns.  ``beta_local`` comes from the
@@ -299,10 +284,11 @@ def _run_ladder(run: RunConfig, spec: _Ladder) -> int:
     and leaves the other values empty.
     """
     params = run.parameters
-    labels = spec.labels(params)
+    systems = spec.systems(params)
+    labels = [label for label, _, _ in systems]
     grid = spec.grid(params)
     tolerance, l_cap = params["truncation.tolerance"], params["truncation.l_max"]
-    configs = [_config_at(params, spec, label, z) for label in labels for z in grid]
+    configs = [_config_at(params, spec, *row[1:], z) for row in systems for z in grid]
     every_row = energy_sweep(configs, tolerance=tolerance, l_cap=l_cap)
     tables = []
     for k, label in enumerate(labels):
@@ -327,7 +313,7 @@ def _run_ladder(run: RunConfig, spec: _Ladder) -> int:
             records.append(record)
         tables.append(records)
 
-    preamble = spec.preamble(_config_at(params, spec, labels[0], grid[0]))
+    preamble = spec.preamble(configs[0])
     columns = _BASE_COLUMNS + tuple(labels[0]) + tuple(spec.extra)
     every = [record for records in tables for record in records]
     if spec.tag is None:
@@ -345,11 +331,13 @@ def _run_ladder(run: RunConfig, spec: _Ladder) -> int:
 
 
 # the configured geometry and substrate over the z/r_min grid
-_SWEEP = _Ladder(lambda _: ({},), _configured, preamble=lambda c: {"f_c": c.f_c})
+_SWEEP = _Ladder(lambda p: [({}, *_configured(p))], preamble=lambda c: {"f_c": c.f_c})
 
 
 def _scenario_modes(run: RunConfig) -> int:
-    cfg = _config_at(run.parameters, _SWEEP, {}, _z_grid(run.parameters)[0])
+    params = run.parameters
+    (row,) = _SWEEP.systems(params)
+    cfg = _config_at(params, _SWEEP, *row[1:], _z_grid(params)[0])
     columns = ("m", "mode_index", "n", "omega_over_omega_p", "multiplicity")
     records = [
         dict(zip(columns, (block.m, i, float(n), math.sqrt(n), block.multiplicity)))
@@ -362,16 +350,26 @@ def _scenario_modes(run: RunConfig) -> int:
     return 0
 
 
-FIG1_SPHEROID = Spheroid.oblate(1.4, 1.0)
-FIG1_MEDIA = {eps: Medium(eps) for eps in (math.inf, 7.8, 3.12, 1.6)}
-FIG2_FAMILIES = {aspect: Spheroid.prolate(aspect, 1.0) for aspect in (1.2, 1.6, 2.0)}
-FIG3_Z_OVER_RPERP = 0.25
-FIG3_DEFAULT_GRID = (0.4, 2.5, 11)
-# two prolate families, by aspect ratio, with the same apex curvature radius
-# r_minor^2 / r_major = 0.5
-FIG4_FAMILIES = {2.0: Spheroid.prolate(2.0, 1.0), 2.5: Spheroid.prolate(3.125, 1.25)}
 EPS_SAPPHIRE = 3.12  # the substrate of fig2, fig3 and fig4
 _SAPPHIRE = Medium.constant(EPS_SAPPHIRE)
+_FIG1_OBLATE = Spheroid.oblate(1.4, 1.0)
+# the (label, spheroid, substrate) rows of fig1, fig2 and fig4
+FIG1_ROWS = tuple(
+    ({"epsilon_sub": eps}, _FIG1_OBLATE, Medium(eps))
+    for eps in (math.inf, 7.8, 3.12, 1.6)
+)
+FIG2_ROWS = tuple(
+    ({"aspect_ratio": aspect}, Spheroid.prolate(aspect, 1.0), _SAPPHIRE)
+    for aspect in (1.2, 1.6, 2.0)
+)
+# two prolate families, by aspect ratio, with the same apex curvature radius
+# r_minor^2 / r_major = 0.5
+FIG4_ROWS = (
+    ({"aspect_ratio": 2.0}, Spheroid.prolate(2.0, 1.0), _SAPPHIRE),
+    ({"aspect_ratio": 2.5}, Spheroid.prolate(3.125, 1.25), _SAPPHIRE),
+)
+FIG3_Z_OVER_RPERP = 0.25
+FIG3_DEFAULT_GRID = (0.4, 2.5, 11)
 
 
 def _fig3_spheroid(r) -> Spheroid:
@@ -388,7 +386,6 @@ def _fig3_spheroid(r) -> Spheroid:
 # sweeps numpy scalars, which keeps each point's config repr stable
 _LADDERS = {
     "energy_sweep": _SWEEP,
-    "exponent": _SWEEP,
     "pfa_compare": replace(_SWEEP, extra={"pfa_ratio": _pfa_ratio}),
     "convergence": replace(
         _SWEEP, extra={"rel_change": lambda _, sample: sample.rel_change_last_step}
@@ -396,27 +393,24 @@ _LADDERS = {
     # oblate aspect 1.4 over the four substrates of increasing contrast; one
     # file per substrate, tagged by its epsilon (eps_inf, eps_7p8, ...)
     "fig1": _Ladder(
-        labels=lambda _: [{"epsilon_sub": eps} for eps in FIG1_MEDIA],
-        system=lambda _, label: (FIG1_SPHEROID, FIG1_MEDIA[label["epsilon_sub"]]),
+        systems=lambda _: FIG1_ROWS,
         grid=lambda params: _z_grid(params).tolist(),
         preamble=lambda _: {"aspect_ratio": 1.4},
         tag=lambda label: "eps_" + _fmt(label["epsilon_sub"]).replace(".", "p"),
     ),
     # prolate aspect families over sapphire; energy vs z/r_<
     "fig2": _Ladder(
-        labels=lambda _: [{"aspect_ratio": aspect} for aspect in FIG2_FAMILIES],
-        system=lambda _, label: (FIG2_FAMILIES[label["aspect_ratio"]], _SAPPHIRE),
+        systems=lambda _: FIG2_ROWS,
         grid=lambda params: _z_grid(params).tolist(),
         preamble=lambda _: {"epsilon_sub": EPS_SAPPHIRE},
     ),
     # aspect ratio r = r_par / r_perp at fixed z / r_perp = 0.25; each aspect
     # ratio is a label over the one-point grid, so beta is empty
     "fig3": _Ladder(
-        labels=lambda params: [
-            {"aspect_ratio": r}
+        systems=lambda params: [
+            ({"aspect_ratio": r}, _fig3_spheroid(r), _SAPPHIRE)
             for r in _geomspace(*params.get("sweep.aspect_ratio", FIG3_DEFAULT_GRID))
         ],
-        system=lambda _, label: (_fig3_spheroid(label["aspect_ratio"]), _SAPPHIRE),
         grid=lambda _: (FIG3_Z_OVER_RPERP,),
         gap_axis="r_perp",
         preamble=lambda _: {
@@ -426,8 +420,7 @@ _LADDERS = {
     ),
     # fixed-curvature prolate families: same PFA prediction, different Xi
     "fig4": _Ladder(
-        labels=lambda _: [{"aspect_ratio": aspect} for aspect in FIG4_FAMILIES],
-        system=lambda _, label: (FIG4_FAMILIES[label["aspect_ratio"]], _SAPPHIRE),
+        systems=lambda _: FIG4_ROWS,
         preamble=lambda _: {"epsilon_sub": EPS_SAPPHIRE, "apex_radius": 0.5},
         extra={"pfa_ratio": _pfa_ratio},
     ),
@@ -530,12 +523,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 3
     try:
-        config = parse_config(text, scenario=args.scenario)
+        config = parse_config(text, args.scenario)
     except ConfigParseError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1
-    output_path = config.output_path if args.output is None else args.output
-    return run(replace(config, output_path=output_path, strict=args.strict))
+    return run(replace(config, output_path=args.output, strict=args.strict))
 
 
 if __name__ == "__main__":

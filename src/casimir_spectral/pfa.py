@@ -29,11 +29,16 @@ from .model import SystemConfig
 
 def mode_integral(f_c: float) -> float:
     """I(f_c) = int_0^inf u (sqrt(1 + f_c e^{-2u}) - 1) du for f_c in
-    [-1, 1); I(0) = 0, strictly increasing."""
+    [-1, 1); I(0) = 0, strictly increasing.  For |f_c| <= 1/4, where the
+    integrand cancels, it is the series sum_k C(1/2, k) f_c^k / (4 k^2)."""
     if not -1.0 <= f_c < 1.0:  # NaN fails too
         raise SpecFunDomainError(f"mode integral needs -1 <= f_c < 1, got f_c={f_c!r}")
-    if f_c == 0.0:
-        return 0.0
+    if abs(f_c) <= 0.25:  # the terms past k = 30 are below 1e-23 of the sum
+        terms, coeff = [], 0.5 * f_c  # coeff = C(1/2, k) f_c^k
+        for k in range(1, 31):
+            terms.append(coeff / (4 * k * k))
+            coeff *= (0.5 - k) / (k + 1) * f_c
+        return math.fsum(terms)
     val, err = quad(
         lambda u: u * (math.sqrt(1.0 + f_c * math.exp(-2.0 * u)) - 1.0),
         0.0,

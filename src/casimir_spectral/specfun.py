@@ -54,7 +54,6 @@ _LGAM_A = (
 _LS2PI = 0.91893853320467274178
 
 
-@lru_cache(maxsize=1024)  # the package asks for n <= 2 l_max + 1 only
 def _lgam_int(n: int) -> float:
     """Cephes lgam at x = n + 1, in its operation order."""
     x = n + 1.0

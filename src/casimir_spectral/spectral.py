@@ -99,10 +99,9 @@ def _read_only(*tables):
 # A ladder climbs the rungs l_max = 5, 10, ..., l_cap, and every gap point
 # of a sweep over one spheroid climbs the same rungs.  Rows l <= L of the
 # surface tables built at l_max >= L are those built at L, so _held keeps
-# the block of the largest rung only (0.92 MiB at l_cap = 200) and every
-# rung below it reads its rows; another spheroid's points drop the block.
-# A block that starts above sector 0 serves no rung's lower sectors, so a
-# smaller rung's block that starts below it replaces it.
+# one block, the one built last: a ladder's largest rung so far (0.92 MiB
+# at l_cap = 200), whose rows every rung below it reads; another
+# spheroid's points drop the block.
 def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
     """Read-only n_iso, signed weight amplitudes w = sign(c) sqrt|c| of the
     normalization weights c and nP at the surface xi0 of a spheroid,
@@ -133,15 +132,11 @@ def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
 
 def _surface_table(spheroid: Spheroid, m: int, l_max: int):
     """n_iso, w and nP0 of sector m from the held surface block, or from a
-    new block of this rung, held once built if its rung is at least the
-    held block's or it starts below the held block."""
+    new block of this rung, held in its place once built."""
     held = _held(spheroid)
     block = held.get("surface", (-1, range(0)))
     if block[0] < l_max or m not in block[1]:
-        new = (l_max, *_surface_tables(spheroid, l_max, m))
-        if l_max >= block[0] or m < block[1].start:
-            held["surface"] = new
-        block = new
+        block = held["surface"] = (l_max, *_surface_tables(spheroid, l_max, m))
     _, ms, tables = block
     return tuple(t[m - ms.start, : l_max + 1] for t in tables)
 

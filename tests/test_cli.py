@@ -38,7 +38,6 @@ truncation.l_max = 40
 SCENARIO_DIGESTS = {
     "modes": "e57b44f4f23bc3c8b0f7e71e4c207a3fc35522c8f42e5f637c0a670a3bb9be17",
     "energy_sweep": "7b3a8e16676fcd74c3f824c905a0a4dc9235e0ed9e917129930efcf934235234",
-    "exponent": "09c592fc98ee46bd4fdfd1ca7869da1593e5902e91db7c624a70cb417b885ed7",
     "convergence": "f31c484f28b0591f9c7cab5d9453d6566bb1fad33d8311c5cb448cca99885172",
     "pfa_compare": "75b90455dd03546900d4156ddd05b9a70b8fff387b59db185c593a541f9ff2ec",
     "fig2": "ec6033509f6b4e38fa8b2e4de4b2620766c2b24fabb1d38434c6044a7c3292b9",
@@ -104,6 +103,9 @@ REJECTED = {
     "grid_stop_below_start": ("energy_sweep", {"sweep.z_over_rmin": "2:0.5:3"}),
     "grid_degenerate": ("energy_sweep", {"sweep.z_over_rmin": "1:1:3"}),
     "tolerance_zero": ("energy_sweep", {"truncation.tolerance": "0"}),
+    # the scenario is the positional argument and the path is --output only
+    "unknown_key_scenario": ("modes", {"scenario": "modes"}),
+    "unknown_key_output": ("energy_sweep", {"output": "x.csv"}),
 }
 
 # parse_config errors that main cannot reach (it passes a known scenario)
@@ -115,7 +117,6 @@ PARSE_ERRORS = {
         "modes",
         "duplicate key 'ambient.epsilon' on line 3",
     ),
-    "no_scenario": ("substrate.epsilon = 2", None, "no scenario given"),
     "unknown_scenario": ("substrate.epsilon = 2", "fig9", "unknown scenario 'fig9'"),
 }
 
@@ -190,23 +191,23 @@ class TestParseConfig:
             )
 
     def test_scenario_mismatch(self):
-        with pytest.raises(ConfigParseError):
+        # the positional argument alone names the scenario
+        with pytest.raises(ConfigParseError, match="unknown key 'scenario'"):
             parse_config("scenario = modes", scenario="fig1")
 
-    def test_substrate_required(self):
+    @pytest.mark.parametrize(
+        "scenario", ["modes", "energy_sweep", "pfa_compare", "convergence"]
+    )
+    def test_substrate_required(self, scenario):
+        # every scenario built from the configured geometry needs a substrate
         expected = (
-            "scenario 'energy_sweep' requires substrate.epsilon or "
+            f"scenario {scenario!r} requires substrate.epsilon or "
             "substrate.perfect_conductor = true"
         )
         for text in ("geometry.r_major = 1.0", "substrate.perfect_conductor = false"):
             with pytest.raises(ConfigParseError) as info:
-                parse_config(text, scenario="energy_sweep")
+                parse_config(text, scenario=scenario)
             assert str(info.value) == expected
-
-    def test_scenario_from_file(self):
-        cfg = parse_config("scenario = modes\nsubstrate.epsilon = 2")
-        assert cfg.scenario == "modes"
-        assert "scenario" not in cfg.parameters
 
     @pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
     def test_parse_error(self, case):
@@ -229,6 +230,8 @@ class TestParseConfig:
             assert main(args) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("config error: ")
+        unknown = line.startswith("config error: unknown key")
+        assert unknown == case.startswith("unknown_key")
         assert not out_path.exists()
 
 
@@ -262,6 +265,22 @@ class TestScenarios:
         preamble, _, _ = _read_rows(out_path)
         (fc_line,) = [line for line in preamble if line.startswith("# f_c")]
         assert float(fc_line.split("=")[1]) == pytest.approx(-0.514563, abs=1e-6)
+
+    def test_pfa_compare_near_unit_substrate(self, tmp_path):
+        # epsilon 1.000002 gives f_c = -1e-6, where the PFA mode integral
+        # must come without an IntegrationWarning
+        cfg_path = tmp_path / "run.cfg"
+        out_path = tmp_path / "out.csv"
+        cfg_path.write_text(
+            "substrate.epsilon = 1.000002\nsweep.z_over_rmin = 1.0:2.0:2\n"
+        )
+        args = ["pfa_compare", "--config", str(cfg_path), "--output", str(out_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args + ["--strict"]) == 0
+        _, _, rows = _read_rows(out_path)
+        assert len(rows) == 2
+        assert all(float(row["pfa_ratio"]) > 0.0 for row in rows)
 
     def test_modes_scenario(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"

@@ -18,6 +18,19 @@ class TestPlateModes:
         for f_c in (0.01, -0.01):
             assert mode_integral(f_c) == pytest.approx(f_c / 8.0, rel=0.01)
 
+    @pytest.mark.parametrize("f_c", [1e-6, -1e-6, 0.01, -0.01, -0.1, 0.2])
+    def test_mode_integral_against_mpmath(self, f_c):
+        # the integrand cancels at small |f_c|, where quad lost up to 8
+        # digits; the series keeps them
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            f = mpmath.mpf(f_c)
+            ref = mpmath.quad(
+                lambda u: u * (mpmath.sqrt(1 + f * mpmath.exp(-2 * u)) - 1),
+                [0, mpmath.inf],
+            )
+            assert abs(mode_integral(f_c) - ref) <= 1e-14 * abs(ref)
+
     def test_mode_integral_zero_contrast(self):
         assert mode_integral(0.0) == 0.0
 
