@@ -19,6 +19,11 @@ w = x^2 - sigma:
     w nQ'_l = l x nQ_l - s_l nQ_{l-1},
     nP nQ' - nP' nQ = -(-1)^m / w.
 
+The tables hold P and Q only; a derivative follows from them where it is
+read, by the recurrences above, except nQ'_m: its lower neighbour has a
+singular normalization, so it takes the upward form
+w nQ'_l = sigma s_{l+1} nQ_{l+1} - (l+1) x nQ_l.
+
 P is generated by forward recurrence in l; Q by a downward continued
 fraction for the ratio nQ_{l+1}/nQ_l, anchored with the Wronskian.
 
@@ -109,18 +114,18 @@ def _orders(m, l_max: int) -> range:
     return ms
 
 
-def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float, derivatives: bool):
-    """Normalized P, dP, Q, dQ for l = m..l_max of every order m in ms, for
-    the family with continuation sign sigma, at points x already checked to
-    lie in its domain.
+def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float):
+    """Normalized P and Q for l = m..l_max of every order m in ms, for the
+    family with continuation sign sigma, at points x already checked to lie
+    in its domain.
 
-    Returns four stacks of shape (len(ms), l_max+1, len(x)), with None for
-    dP and dQ unless derivatives is set.  Each order's entries go through
-    the same floating-point operations whatever the range, so a stack's
-    k-th table is bit-identical to the table of a call for ms[k] alone.  A
-    step in l touches the orders with m <= l <= L_m, and because both grow
-    with m, they are one slice.  Raises SpecFunOverflowError for the lowest
-    order whose returned tables are not finite.
+    Returns two stacks of shape (len(ms), l_max+1, len(x)).  Each order's
+    entries go through the same floating-point operations whatever the
+    range, so a stack's k-th table is bit-identical to the table of a call
+    for ms[k] alone.  A step in l touches the orders with m <= l <= L_m,
+    and because both grow with m, they are one slice.  Raises
+    SpecFunOverflowError for the lowest order whose P or Q table is not
+    finite.
     """
     n, m0 = len(ms), ms.start
     # a table ends at L_m = l_max, except at m = l_max, whose Wronskian
@@ -147,8 +152,7 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float, derivativ
     for l in range(m0 + 1, l_max):
         b = min(l - m0, n)  # rows with m < l
         nP[:b, l + 1] = ((2 * l + 1) * x * nP[:b, l] - ss[l, :b] * nP[:b, l - 1]) / s[l + 1, :b]
-    finite = np.isfinite(nP).all(axis=(1, 2))
-    p_finite = finite.copy()
+    p_finite = np.isfinite(nP).all(axis=(1, 2))
 
     # continued fraction for the ratios nQ_l/nQ_{l-1}, computed downward
     # from L_m + extra and kept in q[k, l] for l = m+1..L_m
@@ -176,68 +180,53 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float, derivativ
         a = n_short if l == l_max else 0  # rows with L_m > l
         b = min(l - m0 + 1, n)  # rows with m <= l
         q[a:b, l + 1] *= q[a:b, l]  # nQ_{l+1} = ratio * nQ_l
-    finite &= np.isfinite(q).all(axis=(1, 2))
-
-    ndP = ndQ = None
-    if derivatives:
-        ndP, ndQ = np.zeros_like(nP), np.zeros_like(q)
-        # l = m: the lower term is absent, and the Wronskian gives nQ'_m
-        ndP[rows, mv] = mv[:, None] * x * nPm / w
-        ndQ[rows, mv] = (T + ndP[rows, mv] * q[rows, mv]) / nPm
-        for l in range(m0 + 1, L + 1):
-            a = n_short if l > l_max else 0  # rows with L_m >= l
-            b = min(l - m0, n)  # rows with m < l
-            ndP[a:b, l] = (l * x * nP[a:b, l] - ss[l, a:b] * nP[a:b, l - 1]) / w
-            ndQ[a:b, l] = (l * x * q[a:b, l] - s[l, a:b] * q[a:b, l - 1]) / w
-        finite &= np.isfinite(ndP).all(axis=(1, 2)) & np.isfinite(ndQ).all(axis=(1, 2))
+    finite = p_finite & np.isfinite(q).all(axis=(1, 2))
 
     if not finite.all():
         k = int(np.flatnonzero(~finite)[0])
         m = ms[k]
         if p_finite[k]:
-            message = f"radial table overflow/underflow for m={m}, l_max={l_max}"
+            message = f"Q_l^m overflow/underflow for m={m}, l_max={l_max}"
         else:
             message = f"P_l^m overflow for m={m}, l_max={l_max}: reduce l_max or aspect"
         raise SpecFunOverflowError(message, m=m)
-    return tuple(None if t is None else t[:, : l_max + 1] for t in (nP, ndP, q, ndQ))
+    return nP[:, : l_max + 1], q[:, : l_max + 1]
 
 
-def _radial_call(m, l_max: int, x: np.ndarray, sigma: float, derivatives: bool):
+def _radial_call(m, l_max: int, x: np.ndarray, sigma: float):
     with np.errstate(all="ignore"):  # non-finite entries raise below
-        tables = _radial_kernel(_orders(m, l_max), l_max, x, sigma, derivatives)
+        tables = _radial_kernel(_orders(m, l_max), l_max, x, sigma)
     if isinstance(m, range):
         return tables
-    return tuple(None if t is None else t[0] for t in tables)
+    return tuple(t[0] for t in tables)
 
 
-def prolate_radial_table(m, l_max: int, x, derivatives: bool = True):
-    """Normalized P, dP, Q, dQ for l = m..l_max at points x > 1.
+def prolate_radial_table(m, l_max: int, x):
+    """Normalized P and Q for l = m..l_max at points x > 1.
 
-    Returns four arrays of shape (l_max+1, len(x)); rows below l = m are
-    zero.  Derivatives are with respect to x; with derivatives=False, dP
-    and dQ are None, and only P and Q are computed and checked.
-    With m a range of consecutive orders, each array is a stack of shape
-    (len(m), l_max+1, len(x)) of the tables of those orders.
+    Returns two arrays of shape (l_max+1, len(x)); rows below l = m are
+    zero.  With m a range of consecutive orders, each array is a stack of
+    shape (len(m), l_max+1, len(x)) of the tables of those orders.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(x > 1.0):  # NaN fails it too
         raise SpecFunDomainError("prolate radial functions require x > 1")
-    return _radial_call(m, l_max, x, 1.0, derivatives)
+    return _radial_call(m, l_max, x, 1.0)
 
 
-def oblate_radial_table(m, l_max: int, zeta, derivatives: bool = True):
-    """Normalized oblate radial functions p, dp, q, dq for l = m..l_max.
+def oblate_radial_table(m, l_max: int, zeta):
+    """Normalized oblate radial functions p and q for l = m..l_max.
 
     Real-valued continuation of the prolate table to x = i*zeta, zeta > 0.
-    Derivatives are with respect to zeta.  The second-kind functions carry
-    the sign (-1)^m (they are (1+z^2)^{m/2} q_l^{(m)}(z) with q_l
-    completely monotone), matching the continuation phases.  derivatives
-    and a range of orders m work as for prolate_radial_table.
+    The second-kind functions carry the sign (-1)^m (they are
+    (1+z^2)^{m/2} q_l^{(m)}(z) with q_l completely monotone), matching the
+    continuation phases.  A range of orders m works as for
+    prolate_radial_table.
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     if not np.all(zeta > 0.0):
         raise SpecFunDomainError("oblate radial functions require zeta > 0")
-    return _radial_call(m, l_max, zeta, -1.0, derivatives)
+    return _radial_call(m, l_max, zeta, -1.0)
 
 
 def normalized_ferrers_table(m, l_max: int, eta):

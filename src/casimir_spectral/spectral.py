@@ -56,7 +56,7 @@ _BLOCK_CELLS = 1 << 16
 _SIGMA = {Family.PROLATE: 1.0, Family.OBLATE: -1.0}
 
 
-def _radial_rows(sigma: float, ms: range, l_max: int, coord, derivatives: bool):
+def _radial_rows(sigma: float, ms: range, l_max: int, coord):
     """(ms', tables) for the longest leading part ms' of the orders ms whose
     radial tables build.  Only a failure at ms.start raises, so a failing
     sector raises when the sector loop reaches it, after every check of the
@@ -65,12 +65,12 @@ def _radial_rows(sigma: float, ms: range, l_max: int, coord, derivatives: bool):
     # on either name (the benchmark trace does this) sees every call
     table = prolate_radial_table if sigma > 0 else oblate_radial_table
     try:
-        return ms, table(ms, l_max, coord, derivatives=derivatives)
+        return ms, table(ms, l_max, coord)
     except SpecFunOverflowError as err:
         if err.m == ms.start:
             raise
         ms = range(ms.start, err.m)
-        return ms, table(ms, l_max, coord, derivatives=derivatives)
+        return ms, table(ms, l_max, coord)
 
 
 @lru_cache(maxsize=1)
@@ -106,17 +106,25 @@ def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
     """Read-only n_iso, signed weight amplitudes w = sign(c) sqrt|c| of the
     normalization weights c and nP at the surface xi0 of a spheroid,
     l = 0..l_max, for the sectors from start up to l_max, from one
-    one-point radial call; they serve both isolated_depolarization_table
-    and _spheroid_coupling."""
+    one-point radial call of P and Q; they serve both
+    isolated_depolarization_table and _spheroid_coupling.  dnP/dxi, read
+    here alone, follows from nP as in the kernel's Wronskian anchor,
+    w0 nP'_l = l x0 nP_l - sigma s_l nP_{l-1} with w0 = x0^2 - sigma and
+    s_l = sqrt(l^2 - m^2), which is m x0 nP_m / w0 at l = m."""
     sigma = _SIGMA[spheroid.family]
     x0 = spheroid_xi0(spheroid)
-    ms, (nP, ndP, nQ, _) = _radial_rows(
-        sigma, range(start, l_max + 1), l_max, np.array([x0]), True
-    )
-    nP, ndP, nQ = nP[..., 0], ndP[..., 0], nQ[..., 0]
-    signs = np.array([-((-1.0) ** m) for m in ms])
-    T = (signs / (x0 * x0 - sigma))[:, None]  # Wronskian constant
-    with np.errstate(over="ignore"):  # a non-finite D raises in _spheroid_coupling
+    ms, (nP, nQ) = _radial_rows(sigma, range(start, l_max + 1), l_max, np.array([x0]))
+    nP, nQ = nP[..., 0], nQ[..., 0]
+    l = np.arange(l_max + 1)
+    m = np.array(ms)[:, None]
+    w0 = x0 * x0 - sigma
+    T = np.where(m % 2, 1.0, -1.0) / w0  # Wronskian constant
+    # a non-finite n_iso or D fails the check of H or of D
+    with np.errstate(over="ignore"):
+        ndP = l * x0 * nP
+        # sigma s_l nP_{l-1}, s_l = sqrt(l^2 - m^2); 0 at l <= m
+        ndP[:, 1:] -= sigma * np.sqrt(np.maximum(l[1:] ** 2 - m * m, 0)) * nP[:, :-1]
+        ndP /= w0
         n_iso = -ndP * nQ / T
         c = -nP * ndP / T
         w = np.sign(c) * np.sqrt(np.abs(c))
@@ -126,7 +134,7 @@ def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
         lost = ~(np.minimum(np.abs(nP * ndP), np.abs(c)) >= np.finfo(float).tiny)
         amp = np.sqrt(np.abs(nP)) * np.sqrt(np.abs(ndP / T))
         w[lost] = (-np.sign(nP) * np.sign(ndP) * np.sign(T) * amp)[lost]
-    n_iso[np.arange(l_max + 1) < np.array(ms)[:, None]] = 0.0  # l < m
+    n_iso[l < m] = 0.0
     return ms, _read_only(n_iso, w, nP)
 
 
@@ -225,7 +233,8 @@ def _mirror_tables(particle: PlacedParticle, l_max: int, start: int):
     # a sector's tables have up to l_max + 2 rows over the 2 l_max + 64 nodes
     per_block = max(1, _BLOCK_CELLS // ((l_max + 2) * (2 * l_max + 64)))
     stop = min(start + per_block, l_max + 1)
-    ms, (_, _, nQ_m, _) = _radial_rows(sigma, range(start, stop), l_max, xi_m, False)
+    ms, (unread_P, nQ_m) = _radial_rows(sigma, range(start, stop), l_max, xi_m)
+    del unread_P  # freed before the Ferrers tables: only Q is read here
     psi = normalized_ferrers_table(ms, l_max, eta_m)
     psi *= nQ_m
     del nQ_m  # free the Q tables before the next Ferrers table is built

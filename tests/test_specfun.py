@@ -24,6 +24,22 @@ from mpmath_reference import OBLATE_POINTS, PROLATE_POINTS, load, mp_oblate, mp_
 REFERENCE = load()
 
 
+def _derivatives(P, Q, m, l, x, sigma):
+    """nP'_l and nQ'_l at one point from the returned tables, rows l and
+    l + 1, by the upward forms of the derivative recurrences,
+
+        w nP'_l = s_{l+1} nP_{l+1} - (l+1) x nP_l,
+        w nQ'_l = sigma s_{l+1} nQ_{l+1} - (l+1) x nQ_l,
+
+    w = x^2 - sigma, s_l = sqrt(l^2 - m^2).  They hold at l = m too, where
+    the downward forms would need nQ_{m-1}, whose normalization is singular."""
+    w = x * x - sigma
+    s = math.sqrt((l + 1) ** 2 - m * m)
+    dP = (s * P[l + 1, 0] - (l + 1) * x * P[l, 0]) / w
+    dQ = (sigma * s * Q[l + 1, 0] - (l + 1) * x * Q[l, 0]) / w
+    return dP, dQ
+
+
 class TestLogFactorial:
     def test_small_values(self):
         table = log_factorials(5)
@@ -54,7 +70,7 @@ class TestLogFactorial:
 class TestProlateRadial:
     def test_closed_forms_at_two(self):
         # at m = 0 the ratio normalization is 1
-        nP, ndP, nQ, ndQ = prolate_radial_table(0, 1, [2.0])
+        nP, nQ = prolate_radial_table(0, 1, [2.0])
         assert nQ[0, 0] == pytest.approx(0.5 * math.log(3.0), rel=1e-14)
         assert nP[1, 0] == pytest.approx(2.0)
         assert nQ[1, 0] == pytest.approx(math.log(3.0) - 1.0, rel=1e-13)
@@ -63,7 +79,7 @@ class TestProlateRadial:
     @pytest.mark.parametrize("x", PROLATE_POINTS[1])
     def test_against_mpmath(self, m, x):
         l_max = PROLATE_POINTS[2]
-        nP, ndP, nQ, ndQ = prolate_radial_table(m, l_max, np.array([x]))
+        nP, nQ = prolate_radial_table(m, l_max, np.array([x]))
         for l in range(m, l_max + 1):
             refP, refQ = REFERENCE["prolate", m, x, l]
             assert nP[l, 0] == pytest.approx(refP, rel=1e-10)
@@ -71,7 +87,7 @@ class TestProlateRadial:
 
     def test_against_live_mpmath(self):
         m, x, l_max = 3, 1.5, PROLATE_POINTS[2]
-        nP, ndP, nQ, ndQ = prolate_radial_table(m, l_max, np.array([x]))
+        nP, nQ = prolate_radial_table(m, l_max, np.array([x]))
         for l in range(m, l_max + 1):
             refP, refQ = mp_prolate(l, m, x)
             assert nP[l, 0] == pytest.approx(refP, rel=1e-10)
@@ -85,9 +101,9 @@ class TestProlateRadial:
     )
     def test_wronskian_property(self, m, dl, x):
         l = m + dl
-        l_max = l
-        nP, ndP, nQ, ndQ = prolate_radial_table(m, l_max, np.array([x]))
-        wron = nP[l, 0] * ndQ[l, 0] - ndP[l, 0] * nQ[l, 0]
+        nP, nQ = prolate_radial_table(m, l + 1, np.array([x]))
+        ndP, ndQ = _derivatives(nP, nQ, m, l, x, 1.0)
+        wron = nP[l, 0] * ndQ - ndP * nQ[l, 0]
         expected = (-1.0) ** m / (1.0 - x * x)
         assert wron == pytest.approx(expected, rel=1e-9)
 
@@ -140,16 +156,12 @@ class TestBatchedTables:
     def test_radial_rows_equal_one_order_calls(self, table, coord, l_max):
         full = table(range(l_max + 1), l_max, coord)
         upper = table(range(l_max // 2, l_max + 1), l_max, coord)
-        no_derivatives = table(range(l_max + 1), l_max, coord, derivatives=False)
         for m in (0, l_max // 2, l_max):
             single = table(m, l_max, coord)
             for k, t in enumerate(single):
                 assert np.array_equal(full[k][m], t)
                 if m >= l_max // 2:
                     assert np.array_equal(upper[k][m - l_max // 2], t)
-        assert no_derivatives[1] is None and no_derivatives[3] is None
-        assert np.array_equal(no_derivatives[0], full[0])
-        assert np.array_equal(no_derivatives[2], full[2])
 
     @pytest.mark.parametrize("l_max", [1, 5, 30])
     def test_ferrers_rows_equal_one_order_calls(self, l_max):
@@ -171,21 +183,19 @@ class TestBatchedTables:
         assert str(single.value) == str(batched.value)
 
     def test_values_only_call_serves_orders_whose_derivatives_overflow(self):
-        # at the aspect-158 needle the derivatives of orders 139 and 140
-        # overflow at l_max = 150, but their P and Q are finite
+        # at the aspect-158 needle dnQ/dx of orders 139 and 140 overflows
+        # at l_max = 150, but their P and Q, all a call returns, are finite;
+        # Q overflows from order 141
         x = [1.0 + 2e-5]
-        with pytest.raises(SpecFunOverflowError) as full:
-            prolate_radial_table(range(136, 141), 150, x)
-        assert full.value.m == 139
-        P, dP, Q, dQ = prolate_radial_table(range(136, 141), 150, x, derivatives=False)
-        assert dP is None and dQ is None
+        P, Q = prolate_radial_table(range(136, 141), 150, x)
         assert np.isfinite(P).all() and np.isfinite(Q).all()
         for k, m in enumerate(range(136, 141)):
-            single = prolate_radial_table(m, 150, x, derivatives=m < 139)
-            assert np.array_equal(P[k], single[0]) and np.array_equal(Q[k], single[2])
-        with pytest.raises(SpecFunOverflowError) as values:
-            prolate_radial_table(range(136, 142), 150, x, derivatives=False)
-        assert values.value.m == 141
+            single = prolate_radial_table(m, 150, x)
+            assert np.array_equal(P[k], single[0]) and np.array_equal(Q[k], single[1])
+        with pytest.raises(SpecFunOverflowError) as info:
+            prolate_radial_table(range(136, 142), 150, x)
+        assert info.value.m == 141
+        assert str(info.value) == "Q_l^m overflow/underflow for m=141, l_max=150"
 
     @pytest.mark.parametrize(
         "table, coord",
@@ -194,12 +204,12 @@ class TestBatchedTables:
     )
     def test_values_only_call_allocates_no_derivative_stacks(self, table, coord):
         # a mirror-point call: its peak holds the returned P and Q stacks
-        # and working space, not the two derivative stacks as well
+        # and working space, and no derivative stacks
         x = np.linspace(*coord, 244)
-        table(range(2), 90, x, derivatives=False)  # warm the caches
+        table(range(2), 90, x)  # warm the caches
         tracemalloc.start()
         try:
-            table(range(2), 90, x, derivatives=False)
+            table(range(2), 90, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -218,7 +228,7 @@ class TestOblateRadial:
     @pytest.mark.parametrize("zeta", OBLATE_POINTS[1])
     def test_against_mpmath(self, m, zeta):
         l_max = OBLATE_POINTS[2]
-        p, dp, q, dq = oblate_radial_table(m, l_max, np.array([zeta]))
+        p, q = oblate_radial_table(m, l_max, np.array([zeta]))
         for l in range(m, l_max + 1):
             refp, refq = REFERENCE["oblate", m, zeta, l]
             assert p[l, 0] == pytest.approx(refp, rel=1e-10)
@@ -226,7 +236,7 @@ class TestOblateRadial:
 
     def test_against_live_mpmath(self):
         m, zeta, l_max = 0, 0.3, OBLATE_POINTS[2]
-        p, dp, q, dq = oblate_radial_table(m, l_max, np.array([zeta]))
+        p, q = oblate_radial_table(m, l_max, np.array([zeta]))
         for l in range(m, l_max + 1):
             refp, refq = mp_oblate(l, m, zeta)
             assert p[l, 0] == pytest.approx(refp, rel=1e-10)
@@ -240,8 +250,9 @@ class TestOblateRadial:
     )
     def test_wronskian_property(self, m, dl, zeta):
         l = m + dl
-        p, dp, q, dq = oblate_radial_table(m, l, np.array([zeta]))
-        wron = p[l, 0] * dq[l, 0] - dp[l, 0] * q[l, 0]
+        p, q = oblate_radial_table(m, l + 1, np.array([zeta]))
+        dp, dq = _derivatives(p, q, m, l, zeta, -1.0)
+        wron = p[l, 0] * dq - dp * q[l, 0]
         expected = -((-1.0) ** m) / (1.0 + zeta * zeta)
         assert wron == pytest.approx(expected, rel=1e-9)
 

@@ -18,10 +18,12 @@ from casimir_spectral.errors import (
     UnphysicalModeError,
 )
 from casimir_spectral.model import (
+    Family,
     Medium,
     PlacedParticle,
     Spheroid,
     SystemConfig,
+    spheroid_xi0,
 )
 from casimir_spectral.spectral import (
     coupling_matrix_D,
@@ -31,7 +33,7 @@ from casimir_spectral.spectral import (
     mode_spectrum,
     spectral_block,
 )
-from casimir_spectral.specfun import log_factorials
+from casimir_spectral.specfun import log_factorials, oblate_radial_table, prolate_radial_table
 
 
 def _config(spheroid, gap, substrate, l_max=20):
@@ -395,6 +397,48 @@ class TestSpectralBlocks:
             for t, t_large in zip(tables, large):
                 assert np.array_equal(t, t_large[: l_max + 1, : l_max + 1])
 
+    @pytest.mark.parametrize(
+        "spheroid, l_max, start",
+        [
+            (Spheroid.prolate(2.0, 1.0), 12, 0),
+            (Spheroid.oblate(1.4, 1.0), 12, 0),
+            (Spheroid.oblate(30.0, 1.0), 40, 17),
+            # the needle: from m = 74 on the weights come from the factors
+            (Spheroid.prolate(1.0, math.sqrt(1.0 - (1.0 / (1.0 + 2e-5)) ** 2)), 140, 70),
+        ],
+        ids=["prolate", "oblate", "flat_oblate", "needle"],
+    )
+    def test_surface_tables_match_loop(self, spheroid, l_max, start):
+        # dnP/dxi by its recurrence in l, one entry at a time, from the
+        # one-order P and Q tables: n_iso, w and nP0 equal it bit for bit
+        prolate = spheroid.family is Family.PROLATE
+        sigma, table = (1.0, prolate_radial_table) if prolate else (-1.0, oblate_radial_table)
+        x0 = spheroid_xi0(spheroid)
+        w0 = x0 * x0 - sigma
+        ms, tables = spectral._surface_tables(spheroid, l_max, start)
+        assert ms == range(start, l_max + 1)
+        for k, m in enumerate(ms):
+            P, Q = (t[:, 0] for t in table(m, l_max, [x0]))
+            T = -((-1.0) ** m) / w0
+            n_iso, w = np.zeros(l_max + 1), np.zeros(l_max + 1)
+            for l in range(l_max + 1):
+                if l < m:
+                    dP = 0.0
+                elif l == m:
+                    dP = m * x0 * P[m] / w0
+                else:
+                    dP = (l * x0 * P[l] - sigma * math.sqrt(l * l - m * m) * P[l - 1]) / w0
+                if l >= m:
+                    n_iso[l] = -dP * Q[l] / T
+                c = -P[l] * dP / T
+                if min(abs(P[l] * dP), abs(c)) >= np.finfo(float).tiny:
+                    w[l] = np.sign(c) * math.sqrt(abs(c))
+                else:
+                    amp = math.sqrt(abs(P[l])) * math.sqrt(abs(dP / T))
+                    w[l] = -np.sign(P[l]) * np.sign(dP) * np.sign(T) * amp
+            for actual, expected in zip(tables, (n_iso, w, P)):
+                assert actual[k].tobytes() == expected.tobytes(), m
+
     def test_failing_sector_kept_out_of_the_held_block(self, monkeypatch):
         # a sector whose surface tables fail does not evict the block of the
         # sectors below it: the next gap points build only the failing one
@@ -456,28 +500,39 @@ class TestSpectralBlocks:
             coupling_matrix_D(cfg.particle, m, cfg.l_max)
 
     def test_failing_sector_spares_the_others(self):
-        # the needle's surface tables overflow from order 139 at
+        # the needle's surface Q tables overflow from order 141 at
         # l_max = 150: that sector raises, and the sectors below it are
         # still served
         e = 1.0 / (1.0 + 2e-5)
         needle = Spheroid.prolate(1.0, math.sqrt(1.0 - e * e))
         cfg = _config(needle, 0.5, Medium.constant(3.12), l_max=150)
         with pytest.raises(SpecFunOverflowError) as info:
-            spectral_block(cfg, 139)
-        assert info.value.m == 139
+            spectral_block(cfg, 141)
+        assert info.value.m == 141
         spectral_block(cfg, 0)
-        spectral_block(_config(needle, 0.5, Medium.constant(1.0), l_max=150), 138)
-        assert np.all(np.isfinite(spectral_block(cfg, 138).eigenvalues))
+        spectral_block(_config(needle, 0.5, Medium.constant(1.0), l_max=150), 140)
+        for m in (138, 139, 140):
+            assert np.all(np.isfinite(spectral_block(cfg, m).eigenvalues))
 
     def test_failing_sector_raises_in_turn(self):
         # near x = 1 the high orders overflow at l_max = 150: a block keeps
         # the sectors below the first failing one, which raises when reached
         x = np.array([1.0 + 2e-5])
-        ms, tables = spectral._radial_rows(1.0, range(151), 150, x, False)
-        assert ms.start == 0 and 0 < ms.stop < 151
+        ms, tables = spectral._radial_rows(1.0, range(151), 150, x)
+        assert ms == range(141)
         assert len(tables[0]) == len(ms)
-        with pytest.raises(SpecFunOverflowError):
-            spectral._radial_rows(1.0, range(ms.stop, 151), 150, x, False)
+        with pytest.raises(SpecFunOverflowError) as info:
+            spectral._radial_rows(1.0, range(ms.stop, 151), 150, x)
+        assert info.value.m == 141
+
+    @pytest.mark.parametrize("l_max", [139, 140])
+    def test_needle_energy_finite_where_only_dQ_overflows(self, l_max):
+        # at l_max 139 and 140 the needle's top sectors have finite P and
+        # Q, though dnQ/dxi, which nothing reads, overflows there
+        e = 1.0 / (1.0 + 2e-5)
+        needle = Spheroid.prolate(1.0, math.sqrt(1.0 - e * e))
+        xi = zero_point_energy(_config(needle, 0.5, Medium.constant(3.12), l_max)).xi
+        assert xi == pytest.approx(-1.63187799e-05, rel=1e-8)
 
     @pytest.mark.parametrize("l_max, m", [(1, 0), (1, 1), (12, 0), (12, 5), (40, 17), (40, 40)])
     def test_sphere_coupling_matches_loop(self, l_max, m):
