@@ -135,13 +135,13 @@ def energy_sweep(
     recorded in its row and does not abort the sweep; any other exception
     propagates.
 
-    The coupling D of a particle depends on its geometry only, so every D
-    built for a particle that a later config repeats (the same spheroid at
-    the same gap over another substrate) is kept, read-only, and read by
-    the ladders of those configs.  A particle's D are dropped after its
-    last config, and all of them when the sweep returns or raises: 0.67 MiB
-    at most on fig1's default grid, and up to about 10 MiB per repeated
-    particle whose ladder climbs to l_cap = 90.
+    The coupling D of a particle depends on its geometry only, so every
+    block of D built for a particle that a later config repeats (the same
+    spheroid at the same gap over another substrate) is kept, read-only,
+    and read by the ladders of those configs.  A particle's D are dropped
+    after its last config, and all of them when the sweep returns or
+    raises: 0.67 MiB at most on fig1's default grid, and up to about
+    10 MiB per repeated particle whose ladder climbs to l_cap = 90.
     """
     configs = list(configs)
     last = {config.particle: i for i, config in enumerate(configs)}

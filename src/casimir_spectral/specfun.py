@@ -27,6 +27,10 @@ w nQ'_l = sigma s_{l+1} nQ_{l+1} - (l+1) x nQ_l.
 P is generated by forward recurrence in l; Q by a downward continued
 fraction for the ratio nQ_{l+1}/nQ_l, anchored with the Wronskian.
 
+Every table takes one order m, or a range of consecutive orders m0..m1
+computed in one pass, whose stacks hold only the rows l = m0..l_max: no
+order of the range reads a row below m0.
+
 ln(n!) has one entry point, the read-only table :func:`log_factorials`,
 which the seeds of both kernels and the sphere coupling read.  Its entries
 are Cephes lgam (Moshier, Methods and Programs for Mathematical Functions,
@@ -119,13 +123,14 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float):
     family with continuation sign sigma, at points x already checked to lie
     in its domain.
 
-    Returns two stacks of shape (len(ms), l_max+1, len(x)).  Each order's
-    entries go through the same floating-point operations whatever the
-    range, so a stack's k-th table is bit-identical to the table of a call
-    for ms[k] alone.  A step in l touches the orders with m <= l <= L_m,
-    and because both grow with m, they are one slice.  Raises
-    SpecFunOverflowError for the lowest order whose P or Q table is not
-    finite.
+    Returns two stacks of shape (len(ms), l_max + 1 - ms.start, len(x)),
+    whose row i holds l = ms.start + i; rows below an order's own l = m are
+    zero.  Each order's entries go through the same floating-point
+    operations whatever the range, so a stack's k-th table is bit-identical
+    to the rows l >= ms.start of a call for ms[k] alone.  A step in l
+    touches the orders with m <= l <= L_m, and because both grow with m,
+    they are one slice.  Raises SpecFunOverflowError for the lowest order
+    whose P or Q table is not finite.
     """
     n, m0 = len(ms), ms.start
     # a table ends at L_m = l_max, except at m = l_max, whose Wronskian
@@ -135,7 +140,7 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float):
     theta = np.arccosh(x) if sigma > 0 else np.arcsinh(x)
     extra = _cf_extra_terms(float(np.min(theta)))
     mv = np.arange(m0, m0 + n)
-    rows = np.arange(n)
+    rows = np.arange(n)  # also the row of l = m of each order
     w = x * x - sigma
     # s[l, k] = s_l = sqrt(l^2 - m^2) of order ms[k], as a column over the
     # points; NaN where l < m, which no step reads
@@ -143,19 +148,20 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float):
     s = s[..., None]
     ss = sigma * s
 
-    nP = np.zeros((n, L + 1, x.size))
+    nP = np.zeros((n, L + 1 - m0, x.size))
     # seed: nP_m^m = sqrt(1/(2m)!) (2m-1)!! w^{m/2}
     seed = _seed_log_pmm(mv, l_max)
-    nP[rows, mv] = np.exp(seed[:, None] + (0.5 * mv)[:, None] * np.log(w))
+    nP[rows, rows] = np.exp(seed[:, None] + (0.5 * mv)[:, None] * np.log(w))
     # l = m: the lower term of the recurrence is absent
-    nP[rows, mv + 1] = (2 * mv + 1)[:, None] * x * nP[rows, mv] / s[mv + 1, rows]
+    nP[rows, rows + 1] = (2 * mv + 1)[:, None] * x * nP[rows, rows] / s[mv + 1, rows]
     for l in range(m0 + 1, l_max):
         b = min(l - m0, n)  # rows with m < l
-        nP[:b, l + 1] = ((2 * l + 1) * x * nP[:b, l] - ss[l, :b] * nP[:b, l - 1]) / s[l + 1, :b]
+        i = l - m0
+        nP[:b, i + 1] = ((2 * l + 1) * x * nP[:b, i] - ss[l, :b] * nP[:b, i - 1]) / s[l + 1, :b]
     p_finite = np.isfinite(nP).all(axis=(1, 2))
 
     # continued fraction for the ratios nQ_l/nQ_{l-1}, computed downward
-    # from L_m + extra and kept in q[k, l] for l = m+1..L_m
+    # from L_m + extra and kept in q[k, l - m0] for l = m+1..L_m
     q = np.zeros_like(nP)
     r = np.zeros((n, x.size))
     for l in range(L + extra, m0, -1):
@@ -165,21 +171,21 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float):
         r[a:b] = s[l, a:b] / ((2 * l + 1) * x - ss[l + 1, a:b] * r[a:b])
         if l <= L:
             a = n_short if l > l_max else 0  # rows with L_m >= l
-            q[a:b, l] = r[a:b]
+            q[a:b, l - m0] = r[a:b]
 
     # anchor nQ_m via the Wronskian at l = m+1:
     # nP_{m+1} nQ'_{m+1} - nP'_{m+1} nQ_{m+1} = T,  T = -(-1)^m / w
     T = np.where(mv % 2, 1.0, -1.0)[:, None] / w
-    r_m = q[rows, mv + 1]  # nQ_{m+1}/nQ_m
+    r_m = q[rows, rows + 1]  # nQ_{m+1}/nQ_m
     s1 = s[mv + 1, rows]  # sqrt((m+1)^2 - m^2)
-    nPm, nP1 = nP[rows, mv], nP[rows, mv + 1]
+    nPm, nP1 = nP[rows, rows], nP[rows, rows + 1]
     dP1 = ((mv + 1)[:, None] * x * nP1 - ss[mv + 1, rows] * nPm) / w
     denom = nP1 * ((mv + 1)[:, None] * x * r_m - s1) / w - dP1 * r_m
-    q[rows, mv] = T / denom
+    q[rows, rows] = T / denom
     for l in range(m0, L):
         a = n_short if l == l_max else 0  # rows with L_m > l
         b = min(l - m0 + 1, n)  # rows with m <= l
-        q[a:b, l + 1] *= q[a:b, l]  # nQ_{l+1} = ratio * nQ_l
+        q[a:b, l + 1 - m0] *= q[a:b, l - m0]  # nQ_{l+1} = ratio * nQ_l
     finite = p_finite & np.isfinite(q).all(axis=(1, 2))
 
     if not finite.all():
@@ -190,7 +196,15 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float):
         else:
             message = f"P_l^m overflow for m={m}, l_max={l_max}: reduce l_max or aspect"
         raise SpecFunOverflowError(message, m=m)
-    return nP[:, : l_max + 1], q[:, : l_max + 1]
+    return nP[:, : l_max + 1 - m0], q[:, : l_max + 1 - m0]
+
+
+def _all_rows(table: np.ndarray, m: int) -> np.ndarray:
+    """The one-order table of rows l = m..l_max with the zero rows l < m
+    put back in front: shape (l_max + 1, ...)."""
+    out = np.zeros((m + len(table),) + table.shape[1:])
+    out[m:] = table
+    return out
 
 
 def _radial_call(m, l_max: int, x: np.ndarray, sigma: float):
@@ -198,7 +212,7 @@ def _radial_call(m, l_max: int, x: np.ndarray, sigma: float):
         tables = _radial_kernel(_orders(m, l_max), l_max, x, sigma)
     if isinstance(m, range):
         return tables
-    return tuple(t[0] for t in tables)
+    return tuple(_all_rows(t[0], m) for t in tables)
 
 
 def prolate_radial_table(m, l_max: int, x):
@@ -206,7 +220,8 @@ def prolate_radial_table(m, l_max: int, x):
 
     Returns two arrays of shape (l_max+1, len(x)); rows below l = m are
     zero.  With m a range of consecutive orders, each array is a stack of
-    shape (len(m), l_max+1, len(x)) of the tables of those orders.
+    shape (len(m), l_max+1-m.start, len(x)) of the tables of those orders,
+    holding only the rows l = m.start..l_max.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(x > 1.0):  # NaN fails it too
@@ -232,8 +247,9 @@ def oblate_radial_table(m, l_max: int, zeta):
 def normalized_ferrers_table(m, l_max: int, eta):
     """Orthonormal Ferrers functions Pbar_l^m(eta) on [-1, 1],
     int_{-1}^{1} Pbar^2 = 1, for l = m..l_max.  Shape (l_max+1, len(eta)),
-    or (len(m), l_max+1, len(eta)) for a range of consecutive orders m,
-    whose k-th table is bit-identical to a call for m[k] alone."""
+    rows below l = m zero, or (len(m), l_max+1-m.start, len(eta)) for a
+    range of consecutive orders m, holding rows l = m.start..l_max, whose
+    k-th table is bit-identical to those rows of a call for m[k] alone."""
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if not np.all(np.abs(eta) <= 1.0):
         raise SpecFunDomainError("normalized Ferrers functions require |eta| <= 1")
@@ -242,18 +258,18 @@ def normalized_ferrers_table(m, l_max: int, eta):
     mv = np.arange(m0, m0 + n)
     mf = mv.astype(float)
     rows = np.arange(n)
-    out = np.zeros((n, l_max + 1, eta.size))
+    out = np.zeros((n, l_max + 1 - m0, eta.size))  # row i holds l = m0 + i
     # Pbar_m^m = sqrt((2m+1)/2) * sqrt(1/(2m)!) (2m-1)!! (1-eta^2)^{m/2};
     # np.log equals math.log on (2m+1)/2 for every m below 54 731
     log_pre = 0.5 * np.log((2 * mv + 1) / 2.0) + _seed_log_pmm(mv, l_max)
     # at eta = +-1, log(0) = -inf makes the seed of m > 0 exactly 0
     with np.errstate(divide="ignore", invalid="ignore"):
         power = np.where(mv[:, None] > 0, (0.5 * mf)[:, None] * np.log(1.0 - eta * eta), 0.0)
-    out[rows, mv] = np.exp(log_pre[:, None] + power)
+    out[rows, rows] = np.exp(log_pre[:, None] + power)
     # fully-normalized forward recurrence; at l = m the lower term is absent
     k1 = n - (ms[-1] == l_max)  # rows with m < l_max
-    out[rows[:k1], mv[:k1] + 1] = (
-        np.sqrt(2.0 * mf[:k1] + 3.0)[:, None] * eta * out[rows[:k1], mv[:k1]]
+    out[rows[:k1], rows[:k1] + 1] = (
+        np.sqrt(2.0 * mf[:k1] + 3.0)[:, None] * eta * out[rows[:k1], rows[:k1]]
     )
     # A[l, k] and B[l, k] of order ms[k], as columns over eta; entries with
     # l <= m are not read
@@ -266,5 +282,6 @@ def normalized_ferrers_table(m, l_max: int, eta):
     A, B = A[..., None], B[..., None]
     for l in range(m0 + 1, l_max):
         b = min(l - m0, n)  # rows with m < l
-        out[:b, l + 1] = A[l, :b] * eta * out[:b, l] - B[l, :b] * out[:b, l - 1]
-    return out if isinstance(m, range) else out[0]
+        i = l - m0
+        out[:b, i + 1] = A[l, :b] * eta * out[:b, i] - B[l, :b] * out[:b, i - 1]
+    return out if isinstance(m, range) else _all_rows(out[0], m)

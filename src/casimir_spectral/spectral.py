@@ -16,6 +16,14 @@ whenever the particle does not touch the substrate, including flat oblate
 particles at small gaps where an intermediate spherical re-expansion
 would diverge.
 
+Sectors are built a block at a time: one pass over a block of consecutive
+sectors gives every D, check and H of the block, each block holding its
+sectors' matrices, l = max(1, m)..l_max, packed one after another
+(_layout).  Only the projection integral and the eigensolve run per
+sector, each at its sector's own shape, and a sector that fails a check
+raises in its turn, so no output depends on where a block starts or
+ends.
+
 Basis amplitudes are normalized so that H is symmetric; observables
 (eigenvalues, strengths, energies) are invariant under that gauge.
 """
@@ -56,11 +64,12 @@ _BLOCK_CELLS = 1 << 16
 _SIGMA = {Family.PROLATE: 1.0, Family.OBLATE: -1.0}
 
 
-def _radial_rows(sigma: float, ms: range, l_max: int, coord):
+def _radial_rows(sigma: float, ms: range, l_max: int, coord, where: str):
     """(ms', tables) for the longest leading part ms' of the orders ms whose
-    radial tables build.  Only a failure at ms.start raises, so a failing
-    sector raises when the sector loop reaches it, after every check of the
-    sectors before it, as if each sector built its own table."""
+    radial tables build.  Only a failure at ms.start raises, naming where
+    the tables were built, so a failing sector raises when the sector loop
+    reaches it, after every check of the sectors before it, as if each
+    sector built its own table."""
     # resolved through the module globals at call time, so a wrapper put
     # on either name (the benchmark trace does this) sees every call
     table = prolate_radial_table if sigma > 0 else oblate_radial_table
@@ -68,17 +77,37 @@ def _radial_rows(sigma: float, ms: range, l_max: int, coord):
         return ms, table(ms, l_max, coord)
     except SpecFunOverflowError as err:
         if err.m == ms.start:
-            raise
+            raise SpecFunOverflowError(f"{err} (radial tables at {where})", m=err.m) from None
         ms = range(ms.start, err.m)
         return ms, table(ms, l_max, coord)
 
 
+def _block_orders(start: int, l_max: int) -> range:
+    """The sectors of one block from start: as many as fit _BLOCK_CELLS,
+    each charged for its mirror tables, rows l = start..l_max + 1 over the
+    2 l_max + 64 quadrature nodes."""
+    per_block = max(1, _BLOCK_CELLS // ((l_max + 2 - start) * (2 * l_max + 64)))
+    return range(start, min(start + per_block, l_max + 1))
+
+
+def _layout(ms: range, l_max: int):
+    """(s, o, r, valid) of a block of the sectors ms packed sector after
+    sector: sector ms[k]'s matrix, l = max(1, m)..l_max, has order s[k]
+    and its entries in row-major order at o[k]:o[k+1], and a vector over
+    its l lies at r[k]:r[k+1].  Over the block's l = max(1, ms.start)..l_max,
+    valid[k, i] says whether the i-th l is one of sector ms[k]'s."""
+    s = l_max + 1 - np.maximum(np.arange(ms.start, ms.stop), 1)
+    valid = np.arange(s[0]) >= (s[0] - s)[:, None]
+    return s, np.cumsum([0, *s * s]), np.cumsum([0, *s]), valid
+
+
 @lru_cache(maxsize=1)
 def _held(spheroid: Spheroid) -> dict:
-    """The tables kept for the last spheroid asked for, each as (key, ms,
-    tables): "surface", one surface block of rung l_max = key, and
-    "mirror", one block of mirror tables.  A new spheroid's empty dict
-    replaces the old one before any of its tables is built."""
+    """The tables kept for the last spheroid asked for: "surface", (key,
+    ms, tables) of one surface block of rung l_max = key, and "coupling",
+    ((particle, l_max), (ms, D)) of one packed block of coupling matrices.
+    A new spheroid's empty dict replaces the old one before any of its
+    tables is built."""
     return {}
 
 
@@ -106,15 +135,25 @@ def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
     """Read-only n_iso, signed weight amplitudes w = sign(c) sqrt|c| of the
     normalization weights c and nP at the surface xi0 of a spheroid,
     l = 0..l_max, for the sectors from start up to l_max, from one
-    one-point radial call of P and Q; they serve both
-    isolated_depolarization_table and _spheroid_coupling.  dnP/dxi, read
-    here alone, follows from nP as in the kernel's Wronskian anchor,
-    w0 nP'_l = l x0 nP_l - sigma s_l nP_{l-1} with w0 = x0^2 - sigma and
-    s_l = sqrt(l^2 - m^2), which is m x0 nP_m / w0 at l = m."""
+    one-point radial call of P and Q; they serve
+    isolated_depolarization_table, _spheroid_coupling and _sectors.
+    dnP/dxi, read here alone, follows from nP as in the kernel's Wronskian
+    anchor, w0 nP'_l = l x0 nP_l - sigma s_l nP_{l-1} with
+    w0 = x0^2 - sigma and s_l = sqrt(l^2 - m^2), which is m x0 nP_m / w0 at
+    l = m.  A sphere's one table is n_iso = l / (2l + 1)."""
+    if spheroid.family is Family.SPHERE:
+        l = np.arange(l_max + 1.0)
+        orders = np.arange(start, l_max + 1)[:, None]
+        n_iso = np.where(l >= np.maximum(orders, 1), l / (2.0 * l + 1.0), 0.0)
+        return range(start, l_max + 1), _read_only(n_iso)
     sigma = _SIGMA[spheroid.family]
     x0 = spheroid_xi0(spheroid)
-    ms, (nP, nQ) = _radial_rows(sigma, range(start, l_max + 1), l_max, np.array([x0]))
-    nP, nQ = nP[..., 0], nQ[..., 0]
+    ms, rows = _radial_rows(
+        sigma, range(start, l_max + 1), l_max, np.array([x0]), f"the surface xi0 = {x0!r}"
+    )
+    # rows l = start..l_max, put in tables of every l: rows l < m are zero
+    nP, nQ = (np.zeros((len(ms), l_max + 1)) for _ in rows)
+    nP[:, start:], nQ[:, start:] = (t[..., 0] for t in rows)
     l = np.arange(l_max + 1)
     m = np.array(ms)[:, None]
     w0 = x0 * x0 - sigma
@@ -138,14 +177,20 @@ def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
     return ms, _read_only(n_iso, w, nP)
 
 
-def _surface_table(spheroid: Spheroid, m: int, l_max: int):
-    """n_iso, w and nP0 of sector m from the held surface block, or from a
-    new block of this rung, held in its place once built."""
+def _surface_block(spheroid: Spheroid, m: int, l_max: int):
+    """(ms, (n_iso, w, nP0)) of the held surface block if it holds rung
+    l_max and sector m, else of a new block of this rung from m, held in
+    its place once built.  Row ms[k] of each table holds l = 0..key."""
     held = _held(spheroid)
     block = held.get("surface", (-1, range(0)))
     if block[0] < l_max or m not in block[1]:
         block = held["surface"] = (l_max, *_surface_tables(spheroid, l_max, m))
-    _, ms, tables = block
+    return block[1:]
+
+
+def _surface_table(spheroid: Spheroid, m: int, l_max: int):
+    """n_iso, w and nP0 of sector m, l = 0..l_max, from _surface_block."""
+    ms, tables = _surface_block(spheroid, m, l_max)
     return tuple(t[m - ms.start, : l_max + 1] for t in tables)
 
 
@@ -160,12 +205,6 @@ def isolated_depolarization_table(spheroid: Spheroid, m: int, l_max: int) -> np.
     """Read-only n_lm(infinity) for l = m..l_max (entries below l=m are
     zero)."""
     _check_sector(m, l_max)
-    if spheroid.family is Family.SPHERE:
-        l = np.arange(l_max + 1, dtype=float)
-        out = np.where(l >= 1, l / (2.0 * l + 1.0), 0.0)
-        out[:m] = 0.0
-        out.flags.writeable = False
-        return out
     return _surface_table(spheroid, m, l_max)[0]
 
 
@@ -202,6 +241,19 @@ def _sphere_coupling(a: float, d: float, m: int, l_max: int) -> np.ndarray:
     ).reshape(exponent.shape)
 
 
+def _sphere_block(particle: PlacedParticle, start: int, l_max: int):
+    """(ms, D) of the sectors ms of one block from start, for a sphere:
+    D is read-only and packed as _layout lays it out."""
+    ms = _block_orders(start, l_max)
+    o = _layout(ms, l_max)[1]
+    D = np.empty(o[-1])
+    for k, m in enumerate(ms):
+        D[o[k] : o[k + 1]] = _sphere_coupling(
+            particle.spheroid.r_major, particle.center_height, m, l_max
+        ).ravel()
+    return ms, *_read_only(D)
+
+
 def _invert(rho, z, F, sigma):
     """(xi, eta) from cylindrical (rho, z): prolate (sigma = +1) with
     semi-focal distance F, oblate (sigma = -1) with focal-ring radius F."""
@@ -213,11 +265,13 @@ def _invert(rho, z, F, sigma):
     return xi, np.clip(eta, -1.0, 1.0)
 
 
-def _mirror_tables(particle: PlacedParticle, l_max: int, start: int):
-    """What _spheroid_coupling needs of the sectors of one block from start:
-    the reflected harmonics psi = nQ(xi_m) Pbar(eta_m) at the mirror points
-    (xi_m, eta_m) of the Gauss nodes eta, which do not depend on m, and the
-    Gauss-weighted Ferrers table Pbar(eta) gw at the nodes."""
+def _mirror_tables(particle: PlacedParticle, l_max: int, ms: range):
+    """What _spheroid_coupling needs of the sectors ms, or of their longest
+    leading part whose tables build: the reflected harmonics
+    psi = nQ(xi_m) Pbar(eta_m) at the mirror points (xi_m, eta_m) of the
+    Gauss nodes eta, which do not depend on m, and the Gauss-weighted
+    Ferrers table Pbar(eta) gw at the nodes, each a stack of the rows
+    l = max(1, ms.start)..l_max of every sector."""
     sph = particle.spheroid
     sigma = _SIGMA[sph.family]
     F = sph.focal_scale
@@ -230,57 +284,106 @@ def _mirror_tables(particle: PlacedParticle, l_max: int, start: int):
     z_m = -2.0 * particle.center_height - z_s
     xi_m, eta_m = _invert(rho, z_m, F, sigma)
 
-    # a sector's tables have up to l_max + 2 rows over the 2 l_max + 64 nodes
-    per_block = max(1, _BLOCK_CELLS // ((l_max + 2) * (2 * l_max + 64)))
-    stop = min(start + per_block, l_max + 1)
-    ms, (unread_P, nQ_m) = _radial_rows(sigma, range(start, stop), l_max, xi_m)
+    ms, (unread_P, nQ_m) = _radial_rows(sigma, ms, l_max, xi_m, "the mirror points")
     del unread_P  # freed before the Ferrers tables: only Q is read here
     psi = normalized_ferrers_table(ms, l_max, eta_m)
     psi *= nQ_m
     del nQ_m  # free the Q tables before the next Ferrers table is built
     weighted = normalized_ferrers_table(ms, l_max, eta)
     weighted *= gw
-    return ms, _read_only(psi, weighted)
+    skip = max(1, ms.start) - ms.start  # row l = 0, which no sector reads
+    return ms, psi[:, skip:], weighted[:, skip:]
 
 
-def _spheroid_coupling(particle: PlacedParticle, m: int, l_max: int) -> np.ndarray:
-    """Image coupling matrix for a spheroid by direct mirror projection."""
-    l_min = max(1, m)
-    _, w, nP0 = _surface_table(particle.spheroid, m, l_max)
-    w_block = w[l_min:]
-    sign = -1.0 if m % 2 else 1.0
-    if np.any(sign * w_block <= 0.0):
-        raise ContractViolationError(
-            "unexpected sign pattern in spheroidal normalization weights"
-        )
-    w_amp = np.abs(w_block)
+def _passing(ms: range, failed: np.ndarray, message: str) -> range:
+    """The sectors of ms before the first that failed a check; if that is
+    ms.start, ContractViolationError(message) instead."""
+    n = int(np.argmax(failed)) if failed.any() else len(ms)
+    if n == 0:
+        raise ContractViolationError(message)
+    return ms[:n]
 
-    held = _held(particle.spheroid)
-    block = held.get("mirror") or (None, range(0))  # None after a failed build
-    if block[0] != (particle, l_max) or m not in block[1]:
-        block = held["mirror"] = None  # freed first: its 2 l_max + 64 nodes do not nest
-        block = held["mirror"] = ((particle, l_max), *_mirror_tables(particle, l_max, m))
-    _, ms, (psi, weighted) = block
-    # proj[n, s] = int Pbar_n psi_s d(eta)
-    proj = weighted[m - ms.start, l_min:] @ psi[m - ms.start, l_min:].T
-    K = proj / nP0[l_min:, None]
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        D = sign * (w_amp[:, None] * K * w_amp[None, :])
-        asym = np.max(np.abs(D - D.T)) / max(np.max(np.abs(D)), 1e-300)
-    if not asym <= 1e-6:  # NaN, from a non-finite D, fails too
-        raise ContractViolationError(
-            f"spheroid coupling matrix not finite or asymmetric beyond tolerance: {asym:.2e}"
-        )
-    return 0.5 * (D + D.T)
+def _spheroid_coupling(particle: PlacedParticle, start: int, l_max: int):
+    """(ms, D) of the sectors ms of one block from start, by direct mirror
+    projection, packed as by _sphere_block.  ms ends before the first
+    sector that fails, in the order each sector meets them, its surface
+    tables, the sign of its weights, its mirror tables or the symmetry of
+    its D; a failure of sector start raises here."""
+    served, (_, w, nP0) = _surface_block(particle.spheroid, start, l_max)
+    ms = range(start, min(served.stop, _block_orders(start, l_max).stop))
+    l0 = max(1, start)
+    rows = slice(start - served.start, start - served.start + len(ms))
+    w, nP0 = w[rows, l0 : l_max + 1], nP0[rows, l0 : l_max + 1]
+    s, _, _, valid = _layout(ms, l_max)
+    R = s[0]  # the block is built as a stack whose D[k, a:, a:],
+    # a = R - s[k], is sector ms[k]'s matrix
+    sign = np.where(np.arange(start, ms.stop) % 2, -1.0, 1.0)
+    ms = _passing(
+        ms,
+        (valid & (sign[:, None] * w <= 0.0)).any(axis=1),
+        "unexpected sign pattern in spheroidal normalization weights",
+    )
+    ms, psi, weighted = _mirror_tables(particle, l_max, ms)
+    n = len(ms)
+    D = np.zeros((n, R, R))
+    for k in range(n):
+        a = R - s[k]
+        # proj[n, s] = int Pbar_n psi_s d(eta), at the sector's own shape
+        np.matmul(weighted[k, a:], psi[k, a:].T, out=D[k, a:, a:])
+    del psi, weighted
+    valid, sign, w = valid[:n], sign[:n], w[:n]
+    sym = np.empty_like(D)
+    # entries outside a sector's matrix stay 0, so a max over D[k] is one
+    # over the matrix; the sectors after a failing one are not read
+    with np.errstate(all="ignore"):
+        D /= np.where(valid, nP0[:n], 1.0)[:, :, None]  # K = proj / nP0
+        w_amp = np.where(valid, np.abs(w), 0.0)
+        D *= w_amp[:, :, None]  # D = sign (w_amp K w_amp)
+        D *= w_amp[:, None, :]
+        D *= sign[:, None, None]
+        np.subtract(D, D.transpose(0, 2, 1), out=sym)
+        np.abs(sym, out=sym)
+        asym = sym.max(axis=(1, 2))
+        np.abs(D, out=sym)
+        asym /= np.maximum(sym.max(axis=(1, 2)), 1e-300)
+        np.add(D, D.transpose(0, 2, 1), out=sym)
+        sym *= 0.5
+    del D
+    ms = _passing(  # NaN, from a non-finite D, fails too
+        ms,
+        ~(asym <= 1e-6),
+        f"spheroid coupling matrix not finite or asymmetric beyond tolerance: {asym[0]:.2e}",
+    )
+    valid = valid[: len(ms)]
+    return ms, *_read_only(sym[: len(ms)][valid[:, :, None] & valid[:, None, :]])
 
 
 # D depends on the placed particle only, never on the substrate: while
 # energy_sweep evaluates configs that repeat a particle, it puts an entry
-# {} for the particle here, coupling_matrix_D keeps every D it builds for
-# the particle in it, keyed (m, l_max), and the sweep drops the entry after
-# the particle's last config and empties this on leaving.
+# {} for the particle here, and every coupling block built for the
+# particle is kept in it under (m, l_max) of each of its sectors; the sweep
+# drops the entry after the particle's last config and empties this on
+# leaving.
 _shared_D: dict = {}
+
+
+def _coupling(particle: PlacedParticle, m: int, l_max: int):
+    """(ms, D) of the coupling block that holds sector m: one kept for the
+    sweep, the held one, or a new block from m, held once built."""
+    kept = _shared_D.get(particle) if _shared_D else None
+    if kept is not None and (m, l_max) in kept:
+        return kept[m, l_max]
+    held = _held(particle.spheroid)
+    key, block = held.get("coupling") or (None, None)  # None after a failed build
+    if key != (particle, l_max) or m not in block[0]:
+        held["coupling"] = block = None  # freed first: its 2 l_max + 64 nodes do not nest
+        build = _sphere_block if particle.spheroid.family is Family.SPHERE else _spheroid_coupling
+        block = build(particle, m, l_max)
+        held["coupling"] = ((particle, l_max), block)
+    if kept is not None:
+        kept.update(((k, l_max), block) for k in block[0])
+    return block
 
 
 def coupling_matrix_D(particle: PlacedParticle, m: int, l_max: int) -> np.ndarray:
@@ -291,17 +394,48 @@ def coupling_matrix_D(particle: PlacedParticle, m: int, l_max: int) -> np.ndarra
     (scale/2d)^{l+s+1} as the center height d grows.
     """
     _check_sector(m, l_max)
-    kept = _shared_D.get(particle) if _shared_D else None
-    if kept is not None and (m, l_max) in kept:
-        return kept[m, l_max]
-    if particle.spheroid.family is Family.SPHERE:
-        D = _sphere_coupling(particle.spheroid.r_major, particle.center_height, m, l_max)
-    else:
-        D = _spheroid_coupling(particle, m, l_max)
-    D.flags.writeable = False
-    if kept is not None:
-        kept[m, l_max] = D
-    return D
+    ms, D = _coupling(particle, m, l_max)
+    s, o, _, _ = _layout(ms, l_max)
+    k = m - ms.start
+    return D[o[k] : o[k + 1]].reshape(s[k], s[k])
+
+
+def _sectors(config: SystemConfig, m: int, stop: int):
+    """(m, isolated, H) of the sectors m..stop-1 in turn: its ascending
+    n_iso and H = diag(n_iso) + f_c D, built for a block of sectors at a
+    time.  A failing sector raises in its turn, when the sectors before it
+    have been read."""
+    particle, l_max, f_c = config.particle, config.l_max, config.f_c
+    while m < stop:
+        # a D block is built from the surface block: a failing n_iso
+        # raises there first
+        ms, D = _coupling(particle, m, l_max) if f_c != 0.0 else (_block_orders(m, l_max), None)
+        served, (n_iso, *_) = _surface_block(particle.spheroid, ms.start, l_max)
+        ms = range(ms.start, min(ms.stop, served.stop))
+        i = ms.start - served.start
+        n_iso = n_iso[i : i + len(ms), max(1, ms.start) : l_max + 1]
+        s, o, r, valid = _layout(ms, l_max)
+        # the rows outside a sector sort in front of its n_iso
+        isolated = np.where(valid, n_iso, -np.inf)
+        isolated.sort(axis=1)
+        isolated, n_iso = isolated[valid], n_iso[valid]
+        # entry j of a vector over l lies on the diagonal of H at
+        # o[k] + (j - r[k]) (s[k] + 1)
+        step = np.repeat(s + 1, s)
+        diagonal = np.repeat(o[:-1] - r[:-1] * (s + 1), s) + np.arange(r[-1]) * step
+        if D is None:
+            H = np.zeros(o[-1])
+            H[diagonal] = n_iso
+        else:  # diag(n_iso) + f_c D, built in place: 0 + f_c D off the
+            # diagonal turns -0.0 into 0.0, and on it f_c D + 0.0 + n_iso
+            # is n_iso + f_c D
+            H = D[: o[-1]] * f_c
+            H += 0.0
+            H[diagonal] += n_iso
+        for k in range(m - ms.start, min(len(ms), stop - ms.start)):
+            yield ms[k], isolated[r[k] : r[k + 1]], H[o[k] : o[k + 1]].reshape(s[k], s[k])
+        m = ms.stop
+        del D, H  # freed before the next block is built
 
 
 @dataclass(frozen=True)
@@ -370,19 +504,15 @@ def spectral_block(config: SystemConfig, m: int) -> SpectralBlock:
     H depends only on geometry and the substrate/ambient contrast, never on
     the particle's dielectric function.
     """
-    l_min = max(1, m)
-    n_iso = isolated_depolarization_table(config.particle.spheroid, m, config.l_max)
-    n_iso = n_iso[l_min:]
-    H = np.diag(n_iso)
-    f_c = config.f_c
-    if f_c != 0.0:
-        H = H + f_c * coupling_matrix_D(config.particle, m, config.l_max)
+    _check_sector(m, config.l_max)
+    ((_, isolated, H),) = _sectors(config, m, m + 1)
+    H = H.copy()
     vals, vecs = eigendecompose(H)
     return SpectralBlock(
         m=m,
-        l_min=l_min,
+        l_min=max(1, m),
         H=H,
-        isolated=np.sort(n_iso),
+        isolated=isolated,
         eigenvalues=vals,
         eigenvectors=vecs,
     )
@@ -391,20 +521,21 @@ def spectral_block(config: SystemConfig, m: int) -> SpectralBlock:
 def mode_spectrum(config: SystemConfig) -> tuple:
     """The SectorModes of every sector m = 0..l_max, in order of m.
 
-    Each sector's H and eigenvectors are dropped once its eigenvalues pass
-    the (0, 1) check: at l_max = 90 they would hold about 4 MiB until the
-    last sector is solved."""
+    Each sector's eigenvectors are dropped as soon as they are computed: at
+    l_max = 90 every sector's H and vectors would hold about 4 MiB until
+    the last sector is solved."""
     sectors = []
-    for m in range(config.l_max + 1):
-        block = spectral_block(config, m)
-        lo = float(block.eigenvalues[0])
-        hi = float(block.eigenvalues[-1])
+    for m, isolated, H in _sectors(config, 0, config.l_max + 1):
+        vals = eigendecompose(H)[0]
+        del H  # the last view of a block's H: freed before the next block
+        lo = float(vals[0])
+        hi = float(vals[-1])
         if lo <= 0.0 or hi >= 1.0:
             raise UnphysicalModeError(
                 f"eigenvalue outside (0,1) in sector m={m}: "
                 f"min={lo:.6g}, max={hi:.6g}; increase l_max or the gap"
             )
-        sectors.append(SectorModes(m, block.l_min, block.isolated, block.eigenvalues))
+        sectors.append(SectorModes(m, max(1, m), isolated, vals))
     return tuple(sectors)
 
 

@@ -202,7 +202,10 @@ def _oblate_config(medium, z, l_max=30):
 
 
 def _held_bytes():
-    return sum(D.nbytes for kept in spectral._shared_D.values() for D in kept.values())
+    # a kept coupling block is listed under each of its sectors; count the
+    # memory each block's stack owns once
+    stacks = {id(D): D for kept in spectral._shared_D.values() for _, D in kept.values()}
+    return sum((D if D.base is None else D.base).nbytes for D in stacks.values())
 
 
 class TestSharedCoupling:
@@ -222,9 +225,9 @@ class TestSharedCoupling:
         builds = []
         build = spectral._spheroid_coupling
 
-        def counted(particle, m, l_max):
-            builds.append((particle, m, l_max))
-            return build(particle, m, l_max)
+        def counted(particle, start, l_max):
+            builds.append((particle, start, l_max))
+            return build(particle, start, l_max)
 
         monkeypatch.setattr(spectral, "_spheroid_coupling", counted)
         return builds
@@ -249,7 +252,7 @@ class TestSharedCoupling:
                 assert row.sample.xi == sample.xi
                 assert row.sample.l_max_used == sample.l_max_used
                 assert row.sample.converged == sample.converged
-        assert len(set(swept)) == len(swept)  # each (particle, m, l_max) once
+        assert len(set(swept)) == len(swept)  # each block (particle, start, l_max) once
         builds.clear()
         for config in self._configs(self.MEDIA[:1]):
             self._cold_row(config)
@@ -268,7 +271,7 @@ class TestSharedCoupling:
         def second_raises(config, **kwargs):
             calls.append(config)
             if len(calls) == 2:
-                held.extend(D for kept in spectral._shared_D.values() for D in kept.values())
+                held.extend(D for kept in spectral._shared_D.values() for _, D in kept.values())
                 raise RuntimeError("not a package error")
             return ladder(config, **kwargs)
 

@@ -145,7 +145,8 @@ class TestProlateRadial:
 
 
 class TestBatchedTables:
-    """A range of orders gives the stack of the one-order tables, bit for bit."""
+    """A range of orders m0..m1 gives the stack of the rows l >= m0 of the
+    one-order tables, bit for bit."""
 
     @pytest.mark.parametrize("l_max", [1, 5, 30])
     @pytest.mark.parametrize(
@@ -154,14 +155,17 @@ class TestBatchedTables:
         ids=["prolate", "oblate"],
     )
     def test_radial_rows_equal_one_order_calls(self, table, coord, l_max):
+        h = l_max // 2
         full = table(range(l_max + 1), l_max, coord)
-        upper = table(range(l_max // 2, l_max + 1), l_max, coord)
-        for m in (0, l_max // 2, l_max):
+        upper = table(range(h, l_max + 1), l_max, coord)
+        assert all(t.shape == (l_max + 1 - h, l_max + 1 - h, len(coord)) for t in upper)
+        for m in (0, h, l_max):
             single = table(m, l_max, coord)
             for k, t in enumerate(single):
+                assert t.shape == (l_max + 1, len(coord))
                 assert np.array_equal(full[k][m], t)
-                if m >= l_max // 2:
-                    assert np.array_equal(upper[k][m - l_max // 2], t)
+                if m >= h:
+                    assert np.array_equal(upper[k][m - h], t[h:])
 
     @pytest.mark.parametrize("l_max", [1, 5, 30])
     def test_ferrers_rows_equal_one_order_calls(self, l_max):
@@ -191,7 +195,7 @@ class TestBatchedTables:
         assert np.isfinite(P).all() and np.isfinite(Q).all()
         for k, m in enumerate(range(136, 141)):
             single = prolate_radial_table(m, 150, x)
-            assert np.array_equal(P[k], single[0]) and np.array_equal(Q[k], single[1])
+            assert np.array_equal(P[k], single[0][136:]) and np.array_equal(Q[k], single[1][136:])
         with pytest.raises(SpecFunOverflowError) as info:
             prolate_radial_table(range(136, 142), 150, x)
         assert info.value.m == 141
@@ -214,6 +218,25 @@ class TestBatchedTables:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 2 * 91 * 244 * 8
+
+    @pytest.mark.parametrize(
+        "table, coord",
+        [(prolate_radial_table, (1.0005, 4.0)), (oblate_radial_table, (0.02, 3.0))],
+        ids=["prolate", "oblate"],
+    )
+    def test_range_call_holds_only_its_rows(self, table, coord):
+        # a mirror-point call from order 45 at l_max = 90: the P and Q
+        # stacks and working space hold rows l >= 45 only, half of what
+        # full rows would take
+        x = np.linspace(*coord, 244)
+        table(range(45, 47), 90, x)  # warm the caches
+        tracemalloc.start()
+        try:
+            table(range(45, 47), 90, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 * 47 * 244 * 8
 
     @pytest.mark.parametrize("orders", [range(0), range(0, 4, 2), range(3, 7)])
     def test_bad_ranges(self, orders):
@@ -301,5 +324,6 @@ class TestFerrers:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stack = normalized_ferrers_table(range(m0, 9), 8, eta)
+            assert stack.shape == (9 - m0, 9 - m0, 2)
             for k, m in enumerate(range(m0, 9)):
-                assert np.array_equal(stack[k], normalized_ferrers_table(m, 8, eta))
+                assert np.array_equal(stack[k], normalized_ferrers_table(m, 8, eta)[m0:])

@@ -265,9 +265,9 @@ class TestSpectralBlocks:
 
     def test_mode_spectrum_keeps_no_vectors(self):
         # oblate 1.5 at z/r_min = 0.05 over a perfect conductor, l_max = 90:
-        # the bound lies between the 2.17 MiB peak of eigenvalues only and
-        # the 7.06 MiB of every sector's H, vectors and strengths kept
-        # until the sum ends
+        # the bound lies between the 1.57 MiB peak of eigenvalues only,
+        # solved block by block, and the 7.06 MiB of every sector's H,
+        # vectors and strengths kept until the sum ends
         cfg = _config(Spheroid.oblate(1.5, 1.0), 0.05, Medium.perfect_conductor(), l_max=90)
         spectral._held.cache_clear()
         spectral._quad_nodes.cache_clear()
@@ -291,9 +291,82 @@ class TestSpectralBlocks:
         for m in (7, 3, 12, 0, 8):
             assert np.array_equal(spectral_block(cfg, m).H, blocked[m])
 
+    @pytest.mark.parametrize(
+        "spheroid", [Spheroid.prolate(2.0, 1.0), Spheroid.oblate(1.5, 1.0)], ids=["prolate", "oblate"]
+    )
+    def test_block_boundaries_move_no_bit(self, monkeypatch, spheroid):
+        # one sector per block, the default blocks, and one block for the
+        # whole rung give the same spectrum and energy, bit for bit
+        cfg = _config(spheroid, 0.05 * spheroid.r_minor, Medium.perfect_conductor(), l_max=40)
+        build = spectral._spheroid_coupling
+        blocks = []
+
+        def counted(particle, start, l_max):
+            blocks[-1] += 1
+            return build(particle, start, l_max)
+
+        monkeypatch.setattr(spectral, "_spheroid_coupling", counted)
+        runs = []
+        for cells in (1, spectral._BLOCK_CELLS, 1 << 30):
+            monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
+            blocks.append(0)
+            spectral._held.cache_clear()
+            sectors = mode_spectrum(cfg)
+            spectral._held.cache_clear()
+            xi = zero_point_energy(cfg).xi
+            spectrum = b"".join(s.eigenvalues.tobytes() + s.isolated.tobytes() for s in sectors)
+            runs.append((spectrum, xi.hex()))
+        assert runs[0] == runs[1] == runs[2]
+        assert blocks[0] == 2 * 41 and blocks[2] == 2 and 2 < blocks[1] < 2 * 41
+
+    @pytest.mark.parametrize("cells", [1, 1 << 16], ids=["one_sector", "one_block"])
+    @pytest.mark.parametrize("check", ["sign", "symmetry"])
+    def test_failing_check_raises_in_its_turn(self, monkeypatch, cells, check):
+        # sector 3's weights change sign, or its D is not finite: it raises
+        # when the sector loop reaches it, after sectors 0-2 are solved,
+        # wherever its block starts
+        cfg = _config(Spheroid.prolate(2.0, 1.0), 0.5, Medium.constant(3.12), l_max=12)
+        if check == "sign":
+            name, message = "_surface_tables", "unexpected sign pattern"
+            original = spectral._surface_tables
+
+            def broken(spheroid, l_max, start):
+                ms, (n_iso, w, nP) = original(spheroid, l_max, start)
+                w = w.copy()
+                w[3 - ms.start] *= -1.0
+                return ms, (n_iso, w, nP)
+
+        else:
+            name, message = "normalized_ferrers_table", "not finite or asymmetric"
+            original = spectral.normalized_ferrers_table
+
+            def broken(m, l_max, eta):
+                table = original(m, l_max, eta)
+                if 3 in m:
+                    table[3 - m.start] = np.nan
+                return table
+
+        solved = []
+        eigendecompose = spectral.eigendecompose
+
+        def counted(H):
+            solved.append(len(H))
+            return eigendecompose(H)
+
+        monkeypatch.setattr(spectral, name, broken)
+        monkeypatch.setattr(spectral, "eigendecompose", counted)
+        monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
+        spectral._held.cache_clear()
+        with pytest.raises(ContractViolationError, match=message):
+            mode_spectrum(cfg)
+        assert solved == [12, 12, 11]
+        with pytest.raises(ContractViolationError, match=message):
+            coupling_matrix_D(cfg.particle, 3, cfg.l_max)
+        assert spectral_block(cfg, 4).m == 4
+
     def test_mirror_block_freed_before_next(self, monkeypatch):
-        # one sector per block: when a block's radial call runs, the block
-        # before it is no longer held by the cache
+        # one sector per block: when a block's mirror radial call runs, the
+        # coupling block before it is no longer held by the cache
         cfg = _config(Spheroid.prolate(2.0, 1.0), 0.3, Medium.constant(3.12), l_max=6)
         original = spectral.prolate_radial_table
         previous = []
@@ -309,10 +382,10 @@ class TestSpectralBlocks:
         spectral._held.cache_clear()
         for m in range(cfg.l_max + 1):
             spectral_block(cfg, m)
-            _, ms, (psi, _) = spectral._held(cfg.particle.spheroid)["mirror"]
+            _, (ms, D) = spectral._held(cfg.particle.spheroid)["coupling"]
             assert ms == range(m, m + 1)
-            previous.append(weakref.ref(psi))
-            del psi
+            previous.append(weakref.ref(D))
+            del D
         assert built == [True] * (cfg.l_max + 1)
 
     def test_failed_mirror_build_is_retried(self, monkeypatch):
@@ -324,9 +397,9 @@ class TestSpectralBlocks:
         spectral._held.cache_clear()
         original = spectral._mirror_tables
 
-        def failing(*args):
+        def failing(particle, l_max, ms):
             monkeypatch.setattr(spectral, "_mirror_tables", original)
-            raise SpecFunOverflowError("mirror tables overflow", m=args[-1])
+            raise SpecFunOverflowError("mirror tables overflow", m=ms.start)
 
         monkeypatch.setattr(spectral, "_mirror_tables", failing)
         with pytest.raises(SpecFunOverflowError):
@@ -518,12 +591,33 @@ class TestSpectralBlocks:
         # near x = 1 the high orders overflow at l_max = 150: a block keeps
         # the sectors below the first failing one, which raises when reached
         x = np.array([1.0 + 2e-5])
-        ms, tables = spectral._radial_rows(1.0, range(151), 150, x)
+        ms, tables = spectral._radial_rows(1.0, range(151), 150, x, "the surface")
         assert ms == range(141)
         assert len(tables[0]) == len(ms)
         with pytest.raises(SpecFunOverflowError) as info:
-            spectral._radial_rows(1.0, range(ms.stop, 151), 150, x)
+            spectral._radial_rows(1.0, range(ms.stop, 151), 150, x, "the surface")
         assert info.value.m == 141
+        assert str(info.value).endswith(" (radial tables at the surface)")
+
+    @pytest.mark.parametrize("ctor", [Spheroid.prolate, Spheroid.oblate], ids=["prolate", "oblate"])
+    @pytest.mark.parametrize(
+        "delta, where",
+        [(1e-6, "at the mirror points)"), (1e-7, "at the surface xi0 = ")],
+        ids=["mirror", "surface"],
+    )
+    def test_overflow_says_where_the_tables_failed(self, ctor, delta, where):
+        # a near-sphere's surface tables build at aspect 1 + 1e-6 while
+        # its mirror tables overflow; at 1 + 1e-7 the surface tables do
+        cfg = _config(ctor(1.0 + delta, 1.0), 0.5, Medium.constant(3.12), l_max=90)
+        spectral._held.cache_clear()
+        with pytest.raises(SpecFunOverflowError) as info:
+            zero_point_energy(cfg)
+        assert info.value.m == 0
+        message = str(info.value)
+        assert message.startswith(
+            "P_l^m overflow for m=0, l_max=90: reduce l_max or aspect (radial tables "
+        )
+        assert where in message
 
     @pytest.mark.parametrize("l_max", [139, 140])
     def test_needle_energy_finite_where_only_dQ_overflows(self, l_max):
@@ -551,6 +645,26 @@ class TestSpectralBlocks:
             ]
         )
         assert np.array_equal(spectral._sphere_coupling(a, d, m, l_max), expected)
+
+    @pytest.mark.parametrize(
+        "spheroid", [Spheroid.prolate(2.0, 1.0), Spheroid.oblate(1.4, 1.0)], ids=["prolate", "oblate"]
+    )
+    def test_spheroid_coupling_matches_loop(self, spheroid):
+        # D and H of each sector, one sector at a time from its own surface
+        # and mirror tables, equal the block build bit for bit
+        cfg = _config(spheroid, 0.3, Medium.constant(3.12), l_max=12)
+        spectral._held.cache_clear()
+        for m in range(cfg.l_max + 1):
+            l_min = max(1, m)
+            n_iso, w, nP0 = spectral._surface_table(spheroid, m, cfg.l_max)
+            _, psi, weighted = spectral._mirror_tables(cfg.particle, cfg.l_max, range(m, m + 1))
+            K = (weighted[0] @ psi[0].T) / nP0[l_min:, None]
+            w_amp = np.abs(w[l_min:])
+            D = (-1.0 if m % 2 else 1.0) * (w_amp[:, None] * K * w_amp[None, :])
+            D = 0.5 * (D + D.T)
+            H = np.diag(n_iso[l_min:]) + cfg.f_c * D
+            assert coupling_matrix_D(cfg.particle, m, cfg.l_max).tobytes() == D.tobytes()
+            assert spectral_block(cfg, m).H.tobytes() == H.tobytes()
 
     @pytest.mark.parametrize("ctor", [Spheroid.prolate, Spheroid.oblate], ids=["prolate", "oblate"])
     def test_non_finite_coupling_raises_package_error(self, ctor):
@@ -598,12 +712,13 @@ class TestSpectralBlocks:
 
     def test_mode_outside_unit_interval_names_its_sector(self, monkeypatch):
         cfg = _config(Spheroid.sphere(1.0), 1.0, Medium.perfect_conductor(), l_max=4)
-        original = spectral.coupling_matrix_D
+        original = spectral._sphere_coupling
 
-        def scaled(particle, m, l_max):
-            return original(particle, m, l_max) * (1e3 if m == 2 else 1.0)
+        def scaled(a, d, m, l_max):
+            return original(a, d, m, l_max) * (1e3 if m == 2 else 1.0)
 
-        monkeypatch.setattr(spectral, "coupling_matrix_D", scaled)
+        monkeypatch.setattr(spectral, "_sphere_coupling", scaled)
+        spectral._held.cache_clear()
         with pytest.raises(UnphysicalModeError, match=r"sector m=2\b"):
             mode_spectrum(cfg)
 
