@@ -182,7 +182,9 @@ class SystemConfig:
     l_max: int = 10
 
     def __post_init__(self):
-        if not isinstance(self.l_max, numbers.Integral) or self.l_max < 1:
+        # bool is an Integral, but True is no truncation order
+        l_max = self.l_max
+        if isinstance(l_max, bool) or not isinstance(l_max, numbers.Integral) or l_max < 1:
             raise ValueError("l_max must be an integer >= 1")
         # Keys f_c early so invalid media fail at construction.
         contrast_fc(self.ambient_epsilon, self.substrate_medium)

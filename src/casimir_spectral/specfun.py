@@ -27,9 +27,10 @@ w nQ'_l = sigma s_{l+1} nQ_{l+1} - (l+1) x nQ_l.
 P is generated by forward recurrence in l; Q by a downward continued
 fraction for the ratio nQ_{l+1}/nQ_l, anchored with the Wronskian.
 
-Every table takes one order m, or a range of consecutive orders m0..m1
-computed in one pass, whose stacks hold only the rows l = m0..l_max: no
-order of the range reads a row below m0.
+Every table takes a range of consecutive orders m0..m1, computed in one
+pass, and returns a stack holding only the rows l = m0..l_max of each
+order: no order of the range reads a row below m0.  One order m is
+range(m, m + 1).
 
 ln(n!) has one entry point, the read-only table :func:`log_factorials`,
 which the seeds of both kernels and the sphere coupling read.  Its entries
@@ -107,12 +108,11 @@ def _seed_log_pmm(mv: np.ndarray, l_max: int) -> np.ndarray:
     return 0.5 * lf[2 * mv] - mv * _LOG2 - lf[mv]
 
 
-def _orders(m, l_max: int) -> range:
-    """The orders of a table call as a range: one int m, or a non-empty
-    range of consecutive orders, each within 0..l_max."""
-    ms = m if isinstance(m, range) else range(m, m + 1)
-    if ms.step != 1 or len(ms) == 0:
-        raise SpecFunDomainError("orders must be an int or a non-empty range with step 1")
+def _orders(ms, l_max: int) -> range:
+    """The orders of a table call: a non-empty range of consecutive
+    orders, each within 0..l_max."""
+    if not isinstance(ms, range) or ms.step != 1 or len(ms) == 0:
+        raise SpecFunDomainError("orders must be a non-empty range with step 1")
     if ms.start < 0 or l_max < ms[-1]:
         raise SpecFunDomainError("need 0 <= m <= l_max")
     return ms
@@ -127,9 +127,9 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float):
     whose row i holds l = ms.start + i; rows below an order's own l = m are
     zero.  Each order's entries go through the same floating-point
     operations whatever the range, so a stack's k-th table is bit-identical
-    to the rows l >= ms.start of a call for ms[k] alone.  A step in l
-    touches the orders with m <= l <= L_m, and because both grow with m,
-    they are one slice.  Raises SpecFunOverflowError for the lowest order
+    to the rows l >= ms.start of a call for range(ms[k], ms[k] + 1).  A
+    step in l touches the orders with m <= l <= L_m, and because both grow
+    with m, they are one slice.  Raises SpecFunOverflowError for the lowest order
     whose P or Q table is not finite.
     """
     n, m0 = len(ms), ms.start
@@ -199,61 +199,51 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float):
     return nP[:, : l_max + 1 - m0], q[:, : l_max + 1 - m0]
 
 
-def _all_rows(table: np.ndarray, m: int) -> np.ndarray:
-    """The one-order table of rows l = m..l_max with the zero rows l < m
-    put back in front: shape (l_max + 1, ...)."""
-    out = np.zeros((m + len(table),) + table.shape[1:])
-    out[m:] = table
-    return out
-
-
-def _radial_call(m, l_max: int, x: np.ndarray, sigma: float):
+def _radial_call(ms, l_max: int, x: np.ndarray, sigma: float):
     with np.errstate(all="ignore"):  # non-finite entries raise below
-        tables = _radial_kernel(_orders(m, l_max), l_max, x, sigma)
-    if isinstance(m, range):
-        return tables
-    return tuple(_all_rows(t[0], m) for t in tables)
+        return _radial_kernel(_orders(ms, l_max), l_max, x, sigma)
 
 
-def prolate_radial_table(m, l_max: int, x):
-    """Normalized P and Q for l = m..l_max at points x > 1.
+def prolate_radial_table(ms, l_max: int, x):
+    """Normalized P and Q for l = m..l_max at points x > 1, of every order
+    m in the range of consecutive orders ms.
 
-    Returns two arrays of shape (l_max+1, len(x)); rows below l = m are
-    zero.  With m a range of consecutive orders, each array is a stack of
-    shape (len(m), l_max+1-m.start, len(x)) of the tables of those orders,
-    holding only the rows l = m.start..l_max.
+    Returns two stacks of shape (len(ms), l_max+1-ms.start, len(x)) of the
+    tables of those orders, holding only the rows l = ms.start..l_max; rows
+    below an order's own l = m are zero.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(x > 1.0):  # NaN fails it too
         raise SpecFunDomainError("prolate radial functions require x > 1")
-    return _radial_call(m, l_max, x, 1.0)
+    return _radial_call(ms, l_max, x, 1.0)
 
 
-def oblate_radial_table(m, l_max: int, zeta):
+def oblate_radial_table(ms, l_max: int, zeta):
     """Normalized oblate radial functions p and q for l = m..l_max.
 
     Real-valued continuation of the prolate table to x = i*zeta, zeta > 0.
     The second-kind functions carry the sign (-1)^m (they are
     (1+z^2)^{m/2} q_l^{(m)}(z) with q_l completely monotone), matching the
-    continuation phases.  A range of orders m works as for
-    prolate_radial_table.
+    continuation phases.  The range of orders ms and the stacks returned
+    are as for prolate_radial_table.
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     if not np.all(zeta > 0.0):
         raise SpecFunDomainError("oblate radial functions require zeta > 0")
-    return _radial_call(m, l_max, zeta, -1.0)
+    return _radial_call(ms, l_max, zeta, -1.0)
 
 
-def normalized_ferrers_table(m, l_max: int, eta):
+def normalized_ferrers_table(ms, l_max: int, eta):
     """Orthonormal Ferrers functions Pbar_l^m(eta) on [-1, 1],
-    int_{-1}^{1} Pbar^2 = 1, for l = m..l_max.  Shape (l_max+1, len(eta)),
-    rows below l = m zero, or (len(m), l_max+1-m.start, len(eta)) for a
-    range of consecutive orders m, holding rows l = m.start..l_max, whose
-    k-th table is bit-identical to those rows of a call for m[k] alone."""
+    int_{-1}^{1} Pbar^2 = 1, for l = m..l_max, of every order m in the
+    range of consecutive orders ms: a stack of shape
+    (len(ms), l_max+1-ms.start, len(eta)) holding rows l = ms.start..l_max,
+    rows below an order's own l = m zero, whose k-th table is bit-identical
+    to those rows of a call for range(ms[k], ms[k] + 1)."""
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if not np.all(np.abs(eta) <= 1.0):
         raise SpecFunDomainError("normalized Ferrers functions require |eta| <= 1")
-    ms = _orders(m, l_max)
+    ms = _orders(ms, l_max)
     n, m0 = len(ms), ms.start
     mv = np.arange(m0, m0 + n)
     mf = mv.astype(float)
@@ -284,4 +274,4 @@ def normalized_ferrers_table(m, l_max: int, eta):
         b = min(l - m0, n)  # rows with m < l
         i = l - m0
         out[:b, i + 1] = A[l, :b] * eta * out[:b, i] - B[l, :b] * out[:b, i - 1]
-    return out if isinstance(m, range) else _all_rows(out[0], m)
+    return out

@@ -16,13 +16,14 @@ whenever the particle does not touch the substrate, including flat oblate
 particles at small gaps where an intermediate spherical re-expansion
 would diverge.
 
-Sectors are built a block at a time: one pass over a block of consecutive
-sectors gives every D, check and H of the block, each block holding its
-sectors' matrices, l = max(1, m)..l_max, packed one after another
-(_layout).  Only the projection integral and the eigensolve run per
-sector, each at its sector's own shape, and a sector that fails a check
-raises in its turn, so no output depends on where a block starts or
-ends.
+The unit of work is a block of consecutive sectors, which _sectors alone
+sizes: one pass over a block gives every D, check and H of the block,
+each block holding its sectors' matrices, l = max(1, m)..l_max, packed
+one after another (_layout).  A call for one sector (spectral_block,
+coupling_matrix_D) is a block of that sector.  Only the projection
+integral and the eigensolve run per sector, each at its sector's own
+shape, and a sector that fails a check raises in its turn, so no output
+depends on where a block starts or ends.
 
 Basis amplitudes are normalized so that H is symmetric; observables
 (eigenvalues, strengths, energies) are invariant under that gauge.
@@ -56,7 +57,7 @@ from .specfun import (
 _SYM_TOL = 1e-9
 # cells (l, point) summed over the sectors of one block of mirror tables:
 # bounds the memory a block holds while keeping its l loops few (one block
-# is held at a time)
+# is alive at a time)
 _BLOCK_CELLS = 1 << 16
 
 
@@ -82,12 +83,12 @@ def _radial_rows(sigma: float, ms: range, l_max: int, coord, where: str):
         return ms, table(ms, l_max, coord)
 
 
-def _block_orders(start: int, l_max: int) -> range:
-    """The sectors of one block from start: as many as fit _BLOCK_CELLS,
-    each charged for its mirror tables, rows l = start..l_max + 1 over the
-    2 l_max + 64 quadrature nodes."""
+def _block_orders(start: int, stop: int, l_max: int) -> range:
+    """The sectors of one block from start, below stop: as many as fit
+    _BLOCK_CELLS, each charged for its mirror tables, rows
+    l = start..l_max + 1 over the 2 l_max + 64 quadrature nodes."""
     per_block = max(1, _BLOCK_CELLS // ((l_max + 2 - start) * (2 * l_max + 64)))
-    return range(start, min(start + per_block, l_max + 1))
+    return range(start, min(start + per_block, stop))
 
 
 def _layout(ms: range, l_max: int):
@@ -104,10 +105,9 @@ def _layout(ms: range, l_max: int):
 @lru_cache(maxsize=1)
 def _held(spheroid: Spheroid) -> dict:
     """The tables kept for the last spheroid asked for: "surface", (key,
-    ms, tables) of one surface block of rung l_max = key, and "coupling",
-    ((particle, l_max), (ms, D)) of one packed block of coupling matrices.
-    A new spheroid's empty dict replaces the old one before any of its
-    tables is built."""
+    ms, tables) of one surface block of rung l_max = key, the only
+    tables that outlive a call.  A new spheroid's empty dict replaces the
+    old one before any of its tables is built."""
     return {}
 
 
@@ -188,12 +188,6 @@ def _surface_block(spheroid: Spheroid, m: int, l_max: int):
     return block[1:]
 
 
-def _surface_table(spheroid: Spheroid, m: int, l_max: int):
-    """n_iso, w and nP0 of sector m, l = 0..l_max, from _surface_block."""
-    ms, tables = _surface_block(spheroid, m, l_max)
-    return tuple(t[m - ms.start, : l_max + 1] for t in tables)
-
-
 def _check_sector(m: int, l_max: int) -> None:
     if not 0 <= m <= l_max or l_max < 1:
         raise SpecFunDomainError(
@@ -205,7 +199,8 @@ def isolated_depolarization_table(spheroid: Spheroid, m: int, l_max: int) -> np.
     """Read-only n_lm(infinity) for l = m..l_max (entries below l=m are
     zero)."""
     _check_sector(m, l_max)
-    return _surface_table(spheroid, m, l_max)[0]
+    ms, (n_iso, *_) = _surface_block(spheroid, m, l_max)
+    return n_iso[m - ms.start, : l_max + 1]
 
 
 def isolated_depolarization(spheroid: Spheroid, l: int, m: int) -> float:
@@ -241,10 +236,9 @@ def _sphere_coupling(a: float, d: float, m: int, l_max: int) -> np.ndarray:
     ).reshape(exponent.shape)
 
 
-def _sphere_block(particle: PlacedParticle, start: int, l_max: int):
-    """(ms, D) of the sectors ms of one block from start, for a sphere:
-    D is read-only and packed as _layout lays it out."""
-    ms = _block_orders(start, l_max)
+def _sphere_block(particle: PlacedParticle, ms: range, l_max: int):
+    """(ms, D) of the sectors ms for a sphere: D is read-only and packed
+    as _layout lays it out."""
     o = _layout(ms, l_max)[1]
     D = np.empty(o[-1])
     for k, m in enumerate(ms):
@@ -304,14 +298,15 @@ def _passing(ms: range, failed: np.ndarray, message: str) -> range:
     return ms[:n]
 
 
-def _spheroid_coupling(particle: PlacedParticle, start: int, l_max: int):
-    """(ms, D) of the sectors ms of one block from start, by direct mirror
-    projection, packed as by _sphere_block.  ms ends before the first
-    sector that fails, in the order each sector meets them, its surface
-    tables, the sign of its weights, its mirror tables or the symmetry of
-    its D; a failure of sector start raises here."""
+def _spheroid_coupling(particle: PlacedParticle, ms: range, l_max: int):
+    """(ms', D) of the sectors ms by direct mirror projection, packed as by
+    _sphere_block.  ms' is the leading part of ms that ends before the
+    first sector that fails, in the order each sector meets them, its
+    surface tables, the sign of its weights, its mirror tables or the
+    symmetry of its D; a failure of sector ms.start raises here."""
+    start = ms.start
     served, (_, w, nP0) = _surface_block(particle.spheroid, start, l_max)
-    ms = range(start, min(served.stop, _block_orders(start, l_max).stop))
+    ms = range(start, min(served.stop, ms.stop))
     l0 = max(1, start)
     rows = slice(start - served.start, start - served.start + len(ms))
     w, nP0 = w[rows, l0 : l_max + 1], nP0[rows, l0 : l_max + 1]
@@ -368,19 +363,14 @@ def _spheroid_coupling(particle: PlacedParticle, start: int, l_max: int):
 _shared_D: dict = {}
 
 
-def _coupling(particle: PlacedParticle, m: int, l_max: int):
-    """(ms, D) of the coupling block that holds sector m: one kept for the
-    sweep, the held one, or a new block from m, held once built."""
+def _coupling(particle: PlacedParticle, ms: range, l_max: int):
+    """(ms', D) of a coupling block that holds sector ms.start: the one
+    kept for the sweep, or a new build of the sectors ms."""
     kept = _shared_D.get(particle) if _shared_D else None
-    if kept is not None and (m, l_max) in kept:
-        return kept[m, l_max]
-    held = _held(particle.spheroid)
-    key, block = held.get("coupling") or (None, None)  # None after a failed build
-    if key != (particle, l_max) or m not in block[0]:
-        held["coupling"] = block = None  # freed first: its 2 l_max + 64 nodes do not nest
-        build = _sphere_block if particle.spheroid.family is Family.SPHERE else _spheroid_coupling
-        block = build(particle, m, l_max)
-        held["coupling"] = ((particle, l_max), block)
+    if kept is not None and (ms.start, l_max) in kept:
+        return kept[ms.start, l_max]
+    build = _sphere_block if particle.spheroid.family is Family.SPHERE else _spheroid_coupling
+    block = build(particle, ms, l_max)
     if kept is not None:
         kept.update(((k, l_max), block) for k in block[0])
     return block
@@ -394,7 +384,7 @@ def coupling_matrix_D(particle: PlacedParticle, m: int, l_max: int) -> np.ndarra
     (scale/2d)^{l+s+1} as the center height d grows.
     """
     _check_sector(m, l_max)
-    ms, D = _coupling(particle, m, l_max)
+    ms, D = _coupling(particle, range(m, m + 1), l_max)
     s, o, _, _ = _layout(ms, l_max)
     k = m - ms.start
     return D[o[k] : o[k + 1]].reshape(s[k], s[k])
@@ -403,13 +393,14 @@ def coupling_matrix_D(particle: PlacedParticle, m: int, l_max: int) -> np.ndarra
 def _sectors(config: SystemConfig, m: int, stop: int):
     """(m, isolated, H) of the sectors m..stop-1 in turn: its ascending
     n_iso and H = diag(n_iso) + f_c D, built for a block of sectors at a
-    time.  A failing sector raises in its turn, when the sectors before it
-    have been read."""
+    time, the blocks sized here alone.  A failing sector raises in its
+    turn, when the sectors before it have been read."""
     particle, l_max, f_c = config.particle, config.l_max, config.f_c
     while m < stop:
+        ms = _block_orders(m, stop, l_max)
         # a D block is built from the surface block: a failing n_iso
         # raises there first
-        ms, D = _coupling(particle, m, l_max) if f_c != 0.0 else (_block_orders(m, l_max), None)
+        ms, D = _coupling(particle, ms, l_max) if f_c != 0.0 else (ms, None)
         served, (n_iso, *_) = _surface_block(particle.spheroid, ms.start, l_max)
         ms = range(ms.start, min(ms.stop, served.stop))
         i = ms.start - served.start

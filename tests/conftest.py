@@ -3,7 +3,18 @@ import pathlib
 
 import pytest
 
+from casimir_spectral import spectral
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(autouse=True)
+def fresh_spectral_state():
+    """Every test starts from empty spectral caches, and no sweep before it
+    left coupling blocks behind."""
+    spectral._held.cache_clear()
+    spectral._quad_nodes.cache_clear()
+    assert spectral._shared_D == {}
 
 
 @pytest.fixture

@@ -225,9 +225,9 @@ class TestSharedCoupling:
         builds = []
         build = spectral._spheroid_coupling
 
-        def counted(particle, start, l_max):
-            builds.append((particle, start, l_max))
-            return build(particle, start, l_max)
+        def counted(particle, ms, l_max):
+            builds.append((particle, ms, l_max))
+            return build(particle, ms, l_max)
 
         monkeypatch.setattr(spectral, "_spheroid_coupling", counted)
         return builds
@@ -241,7 +241,6 @@ class TestSharedCoupling:
 
     def test_sharing_changes_no_row(self, monkeypatch):
         builds = self._count_builds(monkeypatch)
-        spectral._held.cache_clear()
         rows = energy_sweep(self._configs(), l_cap=self.L_CAP)
         swept = list(builds)
         assert any(row.error for row in rows[:: len(self.GAPS)])  # smallest gap fails
@@ -252,7 +251,7 @@ class TestSharedCoupling:
                 assert row.sample.xi == sample.xi
                 assert row.sample.l_max_used == sample.l_max_used
                 assert row.sample.converged == sample.converged
-        assert len(set(swept)) == len(swept)  # each block (particle, start, l_max) once
+        assert len(set(swept)) == len(swept)  # each block (particle, ms, l_max) once
         builds.clear()
         for config in self._configs(self.MEDIA[:1]):
             self._cold_row(config)

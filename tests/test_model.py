@@ -129,9 +129,11 @@ class TestSystemConfig:
         assert cfg.f_c == -1.0
 
     def test_l_max_below_one_rejected(self):
-        # a non-integral order fails here, not later inside the ladder
+        # a non-integral order fails here, not later inside the ladder; so
+        # does True, a numbers.Integral >= 1 that a ladder would report as
+        # l_max_used=True
         particle = PlacedParticle(Spheroid.sphere(1.0), gap=1.0)
-        for l_max in (0, math.nan, 2.5, 10.0):
+        for l_max in (0, math.nan, 2.5, 10.0, True):
             with pytest.raises(ValueError, match="l_max"):
                 SystemConfig(particle, Medium.perfect_conductor(), l_max=l_max)
         assert SystemConfig(particle, Medium.perfect_conductor(), l_max=np.int64(7)).l_max == 7

@@ -25,8 +25,9 @@ REFERENCE = load()
 
 
 def _derivatives(P, Q, m, l, x, sigma):
-    """nP'_l and nQ'_l at one point from the returned tables, rows l and
-    l + 1, by the upward forms of the derivative recurrences,
+    """nP'_l and nQ'_l at one point from the order-m tables returned,
+    rows l - m and l + 1 - m, by the upward forms of the derivative
+    recurrences,
 
         w nP'_l = s_{l+1} nP_{l+1} - (l+1) x nP_l,
         w nQ'_l = sigma s_{l+1} nQ_{l+1} - (l+1) x nQ_l,
@@ -35,8 +36,8 @@ def _derivatives(P, Q, m, l, x, sigma):
     the downward forms would need nQ_{m-1}, whose normalization is singular."""
     w = x * x - sigma
     s = math.sqrt((l + 1) ** 2 - m * m)
-    dP = (s * P[l + 1, 0] - (l + 1) * x * P[l, 0]) / w
-    dQ = (sigma * s * Q[l + 1, 0] - (l + 1) * x * Q[l, 0]) / w
+    dP = (s * P[l + 1 - m, 0] - (l + 1) * x * P[l - m, 0]) / w
+    dQ = (sigma * s * Q[l + 1 - m, 0] - (l + 1) * x * Q[l - m, 0]) / w
     return dP, dQ
 
 
@@ -70,7 +71,7 @@ class TestLogFactorial:
 class TestProlateRadial:
     def test_closed_forms_at_two(self):
         # at m = 0 the ratio normalization is 1
-        nP, nQ = prolate_radial_table(0, 1, [2.0])
+        nP, nQ = (t[0] for t in prolate_radial_table(range(1), 1, [2.0]))
         assert nQ[0, 0] == pytest.approx(0.5 * math.log(3.0), rel=1e-14)
         assert nP[1, 0] == pytest.approx(2.0)
         assert nQ[1, 0] == pytest.approx(math.log(3.0) - 1.0, rel=1e-13)
@@ -79,19 +80,19 @@ class TestProlateRadial:
     @pytest.mark.parametrize("x", PROLATE_POINTS[1])
     def test_against_mpmath(self, m, x):
         l_max = PROLATE_POINTS[2]
-        nP, nQ = prolate_radial_table(m, l_max, np.array([x]))
+        nP, nQ = (t[0] for t in prolate_radial_table(range(m, m + 1), l_max, np.array([x])))
         for l in range(m, l_max + 1):
             refP, refQ = REFERENCE["prolate", m, x, l]
-            assert nP[l, 0] == pytest.approx(refP, rel=1e-10)
-            assert nQ[l, 0] == pytest.approx(refQ, rel=1e-10)
+            assert nP[l - m, 0] == pytest.approx(refP, rel=1e-10)
+            assert nQ[l - m, 0] == pytest.approx(refQ, rel=1e-10)
 
     def test_against_live_mpmath(self):
         m, x, l_max = 3, 1.5, PROLATE_POINTS[2]
-        nP, nQ = prolate_radial_table(m, l_max, np.array([x]))
+        nP, nQ = (t[0] for t in prolate_radial_table(range(m, m + 1), l_max, np.array([x])))
         for l in range(m, l_max + 1):
             refP, refQ = mp_prolate(l, m, x)
-            assert nP[l, 0] == pytest.approx(refP, rel=1e-10)
-            assert nQ[l, 0] == pytest.approx(refQ, rel=1e-10)
+            assert nP[l - m, 0] == pytest.approx(refP, rel=1e-10)
+            assert nQ[l - m, 0] == pytest.approx(refQ, rel=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -101,9 +102,9 @@ class TestProlateRadial:
     )
     def test_wronskian_property(self, m, dl, x):
         l = m + dl
-        nP, nQ = prolate_radial_table(m, l + 1, np.array([x]))
+        nP, nQ = (t[0] for t in prolate_radial_table(range(m, m + 1), l + 1, np.array([x])))
         ndP, ndQ = _derivatives(nP, nQ, m, l, x, 1.0)
-        wron = nP[l, 0] * ndQ - ndP * nQ[l, 0]
+        wron = nP[l - m, 0] * ndQ - ndP * nQ[l - m, 0]
         expected = (-1.0) ** m / (1.0 - x * x)
         assert wron == pytest.approx(expected, rel=1e-9)
 
@@ -120,7 +121,7 @@ class TestProlateRadial:
     def test_domain_check(self, table, inside, outside, m, l_max, bad_coord):
         coord = [inside] + {"outside": [outside], "nan": [math.nan], None: []}[bad_coord]
         with pytest.raises(SpecFunDomainError):
-            table(m, l_max, np.array(coord))
+            table(range(m, m + 1), l_max, np.array(coord))
 
     @pytest.mark.parametrize(
         "table, coord", [(prolate_radial_table, math.cosh), (oblate_radial_table, math.sinh)],
@@ -129,9 +130,9 @@ class TestProlateRadial:
     def test_continued_fraction_cap(self, table, coord):
         # theta = arccosh x or arcsinh zeta: below 21/4000 the Q continued
         # fraction cannot decay by exp(-42) within its 4000 steps
-        table(0, 5, [coord(1.01 * 21.0 / 4000.0)])
+        table(range(1), 5, [coord(1.01 * 21.0 / 4000.0)])
         with pytest.raises(SpecFunDomainError):
-            table(0, 5, [2.0, coord(0.99 * 21.0 / 4000.0)])
+            table(range(1), 5, [2.0, coord(0.99 * 21.0 / 4000.0)])
 
     @pytest.mark.parametrize(
         "table", [prolate_radial_table, oblate_radial_table], ids=["prolate", "oblate"]
@@ -141,7 +142,7 @@ class TestProlateRadial:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SpecFunOverflowError):
-                table(0, 90, np.array([1e4]))
+                table(range(1), 90, np.array([1e4]))
 
 
 class TestBatchedTables:
@@ -160,19 +161,21 @@ class TestBatchedTables:
         upper = table(range(h, l_max + 1), l_max, coord)
         assert all(t.shape == (l_max + 1 - h, l_max + 1 - h, len(coord)) for t in upper)
         for m in (0, h, l_max):
-            single = table(m, l_max, coord)
+            single = table(range(m, m + 1), l_max, coord)
             for k, t in enumerate(single):
-                assert t.shape == (l_max + 1, len(coord))
-                assert np.array_equal(full[k][m], t)
+                assert t.shape == (1, l_max + 1 - m, len(coord))
+                assert np.array_equal(full[k][m, m:], t[0]) and not full[k][m, :m].any()
                 if m >= h:
-                    assert np.array_equal(upper[k][m - h], t[h:])
+                    assert np.array_equal(upper[k][m - h, m - h :], t[0])
+                    assert not upper[k][m - h, : m - h].any()
 
     @pytest.mark.parametrize("l_max", [1, 5, 30])
     def test_ferrers_rows_equal_one_order_calls(self, l_max):
         eta = np.array([-1.0, -0.4, 0.0, 0.9, 1.0])
         full = normalized_ferrers_table(range(l_max + 1), l_max, eta)
         for m in (0, l_max // 2, l_max):
-            assert np.array_equal(full[m], normalized_ferrers_table(m, l_max, eta))
+            single = normalized_ferrers_table(range(m, m + 1), l_max, eta)
+            assert np.array_equal(full[m, m:], single[0]) and not full[m, :m].any()
 
     def test_overflow_names_lowest_failing_order(self):
         # near x = 1 the tables of the higher orders fail at l_max = 150
@@ -181,9 +184,9 @@ class TestBatchedTables:
             prolate_radial_table(range(151), 150, x)
         m = batched.value.m
         assert m > 0
-        prolate_radial_table(m - 1, 150, x)
+        prolate_radial_table(range(m - 1, m), 150, x)
         with pytest.raises(SpecFunOverflowError) as single:
-            prolate_radial_table(m, 150, x)
+            prolate_radial_table(range(m, m + 1), 150, x)
         assert str(single.value) == str(batched.value)
 
     def test_values_only_call_serves_orders_whose_derivatives_overflow(self):
@@ -194,8 +197,11 @@ class TestBatchedTables:
         P, Q = prolate_radial_table(range(136, 141), 150, x)
         assert np.isfinite(P).all() and np.isfinite(Q).all()
         for k, m in enumerate(range(136, 141)):
-            single = prolate_radial_table(m, 150, x)
-            assert np.array_equal(P[k], single[0][136:]) and np.array_equal(Q[k], single[1][136:])
+            single = prolate_radial_table(range(m, m + 1), 150, x)
+            i = m - 136
+            assert np.array_equal(P[k, i:], single[0][0])
+            assert np.array_equal(Q[k, i:], single[1][0])
+            assert not P[k, :i].any() and not Q[k, :i].any()
         with pytest.raises(SpecFunOverflowError) as info:
             prolate_radial_table(range(136, 142), 150, x)
         assert info.value.m == 141
@@ -238,7 +244,8 @@ class TestBatchedTables:
             tracemalloc.stop()
         assert peak <= 3 * 2 * 47 * 244 * 8
 
-    @pytest.mark.parametrize("orders", [range(0), range(0, 4, 2), range(3, 7)])
+    # an int order is not a range: one order m is range(m, m + 1)
+    @pytest.mark.parametrize("orders", [range(0), range(0, 4, 2), range(3, 7), 3])
     def test_bad_ranges(self, orders):
         with pytest.raises(SpecFunDomainError):
             prolate_radial_table(orders, 5, [2.0])
@@ -251,19 +258,19 @@ class TestOblateRadial:
     @pytest.mark.parametrize("zeta", OBLATE_POINTS[1])
     def test_against_mpmath(self, m, zeta):
         l_max = OBLATE_POINTS[2]
-        p, q = oblate_radial_table(m, l_max, np.array([zeta]))
+        p, q = (t[0] for t in oblate_radial_table(range(m, m + 1), l_max, np.array([zeta])))
         for l in range(m, l_max + 1):
             refp, refq = REFERENCE["oblate", m, zeta, l]
-            assert p[l, 0] == pytest.approx(refp, rel=1e-10)
-            assert q[l, 0] == pytest.approx(refq, rel=1e-10)
+            assert p[l - m, 0] == pytest.approx(refp, rel=1e-10)
+            assert q[l - m, 0] == pytest.approx(refq, rel=1e-10)
 
     def test_against_live_mpmath(self):
         m, zeta, l_max = 0, 0.3, OBLATE_POINTS[2]
-        p, q = oblate_radial_table(m, l_max, np.array([zeta]))
+        p, q = (t[0] for t in oblate_radial_table(range(m, m + 1), l_max, np.array([zeta])))
         for l in range(m, l_max + 1):
             refp, refq = mp_oblate(l, m, zeta)
-            assert p[l, 0] == pytest.approx(refp, rel=1e-10)
-            assert q[l, 0] == pytest.approx(refq, rel=1e-10)
+            assert p[l - m, 0] == pytest.approx(refp, rel=1e-10)
+            assert q[l - m, 0] == pytest.approx(refq, rel=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -273,9 +280,9 @@ class TestOblateRadial:
     )
     def test_wronskian_property(self, m, dl, zeta):
         l = m + dl
-        p, q = oblate_radial_table(m, l + 1, np.array([zeta]))
+        p, q = (t[0] for t in oblate_radial_table(range(m, m + 1), l + 1, np.array([zeta])))
         dp, dq = _derivatives(p, q, m, l, zeta, -1.0)
-        wron = p[l, 0] * dq - dp * q[l, 0]
+        wron = p[l - m, 0] * dq - dp * q[l - m, 0]
         expected = -((-1.0) ** m) / (1.0 + zeta * zeta)
         assert wron == pytest.approx(expected, rel=1e-9)
 
@@ -284,26 +291,26 @@ class TestFerrers:
     def test_orthonormality(self):
         eta, w = np.polynomial.legendre.leggauss(80)
         for m in (0, 1, 3):
-            table = normalized_ferrers_table(m, 12, eta)
+            table = normalized_ferrers_table(range(m, m + 1), 12, eta)[0]
             gram = (table * w) @ table.T
             expected = np.zeros_like(gram)
             for l in range(m, 13):
-                expected[l, l] = 1.0
+                expected[l - m, l - m] = 1.0
             assert np.max(np.abs(gram - expected)) < 1e-12
 
     def test_parity(self):
         eta = np.array([0.37])
         for m in (0, 2):
-            table_p = normalized_ferrers_table(m, 8, eta)
-            table_n = normalized_ferrers_table(m, 8, -eta)
+            table_p = normalized_ferrers_table(range(m, m + 1), 8, eta)[0]
+            table_n = normalized_ferrers_table(range(m, m + 1), 8, -eta)[0]
             for l in range(m, 9):
                 sign = (-1.0) ** (l + m)
-                assert table_n[l, 0] == pytest.approx(sign * table_p[l, 0], rel=1e-12)
+                assert table_n[l - m, 0] == pytest.approx(sign * table_p[l - m, 0], rel=1e-12)
 
     @pytest.mark.parametrize("eta", [1.0 + 1e-15, -2.0, math.nan])
     def test_domain_check(self, eta):
         with pytest.raises(SpecFunDomainError):
-            normalized_ferrers_table(0, 5, [0.5, eta])
+            normalized_ferrers_table(range(1), 5, [0.5, eta])
 
     @pytest.mark.parametrize("eta", [1.0, -1.0])
     @pytest.mark.parametrize("m", [0, 1, 3])
@@ -311,11 +318,11 @@ class TestFerrers:
         # Pbar_l^0(+-1) = (+-1)^l sqrt((2l+1)/2); every m > 0 vanishes there
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = normalized_ferrers_table(m, 8, [eta])
+            table = normalized_ferrers_table(range(m, m + 1), 8, [eta])[0]
         assert np.all(np.isfinite(table))
         for l in range(m, 9):
             expected = eta**l * math.sqrt((2 * l + 1) / 2.0) if m == 0 else 0.0
-            assert table[l, 0] == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert table[l - m, 0] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("m0", [0, 2])
     def test_endpoint_range_equals_one_order_calls(self, m0):
@@ -326,4 +333,6 @@ class TestFerrers:
             stack = normalized_ferrers_table(range(m0, 9), 8, eta)
             assert stack.shape == (9 - m0, 9 - m0, 2)
             for k, m in enumerate(range(m0, 9)):
-                assert np.array_equal(stack[k], normalized_ferrers_table(m, 8, eta)[m0:])
+                single = normalized_ferrers_table(range(m, m + 1), 8, eta)[0]
+                assert np.array_equal(stack[k, m - m0 :], single)
+                assert not stack[k, : m - m0].any()

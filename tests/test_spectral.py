@@ -229,8 +229,6 @@ class TestSpectralBlocks:
 
         counting("leggauss")
         counting("prolate_radial_table")
-        spectral._quad_nodes.cache_clear()
-        spectral._held.cache_clear()
         cfg = _config(Spheroid.prolate(2.0, 1.0), 0.5, Medium.constant(3.12), l_max=10)
         mode_spectrum(cfg)
         assert calls == {"leggauss": 1, "prolate_radial_table": 2}
@@ -269,8 +267,6 @@ class TestSpectralBlocks:
         # solved block by block, and the 7.06 MiB of every sector's H,
         # vectors and strengths kept until the sum ends
         cfg = _config(Spheroid.oblate(1.5, 1.0), 0.05, Medium.perfect_conductor(), l_max=90)
-        spectral._held.cache_clear()
-        spectral._quad_nodes.cache_clear()
         tracemalloc.start()
         try:
             zero_point_energy(cfg)
@@ -301,9 +297,9 @@ class TestSpectralBlocks:
         build = spectral._spheroid_coupling
         blocks = []
 
-        def counted(particle, start, l_max):
+        def counted(particle, ms, l_max):
             blocks[-1] += 1
-            return build(particle, start, l_max)
+            return build(particle, ms, l_max)
 
         monkeypatch.setattr(spectral, "_spheroid_coupling", counted)
         runs = []
@@ -356,7 +352,6 @@ class TestSpectralBlocks:
         monkeypatch.setattr(spectral, name, broken)
         monkeypatch.setattr(spectral, "eigendecompose", counted)
         monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
-        spectral._held.cache_clear()
         with pytest.raises(ContractViolationError, match=message):
             mode_spectrum(cfg)
         assert solved == [12, 12, 11]
@@ -366,33 +361,39 @@ class TestSpectralBlocks:
 
     def test_mirror_block_freed_before_next(self, monkeypatch):
         # one sector per block: when a block's mirror radial call runs, the
-        # coupling block before it is no longer held by the cache
+        # coupling blocks before it are freed, and no block outlives the
+        # call that built it
         cfg = _config(Spheroid.prolate(2.0, 1.0), 0.3, Medium.constant(3.12), l_max=6)
-        original = spectral.prolate_radial_table
-        previous = []
+        radial, build = spectral.prolate_radial_table, spectral._spheroid_coupling
+        blocks = []
         built = []
 
-        def radial(m, l_max, x, **kwargs):
+        def mirror_radial(ms, l_max, x, **kwargs):
             if len(x) > 1:  # the mirror points, not the one surface point
-                built.append(all(ref() is None for ref in previous))
-            return original(m, l_max, x, **kwargs)
+                built.append(all(ref() is None for ref in blocks))
+            return radial(ms, l_max, x, **kwargs)
 
-        monkeypatch.setattr(spectral, "prolate_radial_table", radial)
+        def coupling(particle, ms, l_max):
+            block = build(particle, ms, l_max)
+            assert block[0] == ms == range(ms.start, ms.start + 1)
+            blocks.append(weakref.ref(block[1]))
+            return block
+
+        monkeypatch.setattr(spectral, "prolate_radial_table", mirror_radial)
+        monkeypatch.setattr(spectral, "_spheroid_coupling", coupling)
         monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1)
-        spectral._held.cache_clear()
+        mode_spectrum(cfg)
+        assert len(blocks) == cfg.l_max + 1
+        assert all(ref() is None for ref in blocks)
         for m in range(cfg.l_max + 1):
             spectral_block(cfg, m)
-            _, (ms, D) = spectral._held(cfg.particle.spheroid)["coupling"]
-            assert ms == range(m, m + 1)
-            previous.append(weakref.ref(D))
-            del D
-        assert built == [True] * (cfg.l_max + 1)
+            assert blocks[-1]() is None
+        assert built == [True] * 2 * (cfg.l_max + 1)
 
     def test_failed_mirror_build_is_retried(self, monkeypatch):
         # a mirror block whose build raised leaves no block behind, and the
         # next sector builds its own
         cfg = _config(Spheroid.prolate(2.0, 1.0), 0.3, Medium.constant(3.12), l_max=6)
-        spectral._held.cache_clear()
         expected = spectral_block(cfg, 2).H
         spectral._held.cache_clear()
         original = spectral._mirror_tables
@@ -412,10 +413,9 @@ class TestSpectralBlocks:
         # it leaves the cache before the first block of the next spheroid
         # is built
         prolate = Spheroid.prolate(2.0, 1.0)
-        spectral._held.cache_clear()
         refs = []
         for l_max in (5, 10, 5):
-            n_iso = spectral._surface_table(prolate, 0, l_max)[0]
+            n_iso = isolated_depolarization_table(prolate, 0, l_max)
             assert len(n_iso) == l_max + 1
             refs.append(weakref.ref(spectral._held(prolate)["surface"][2][0]))
             del n_iso
@@ -429,7 +429,7 @@ class TestSpectralBlocks:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "oblate_radial_table", radial)
-        spectral._surface_table(Spheroid.oblate(1.4, 1.0), 0, 5)
+        isolated_depolarization_table(Spheroid.oblate(1.4, 1.0), 0, 5)
         assert dropped == [True]
 
     def test_whole_ladder_kept(self, monkeypatch):
@@ -445,7 +445,6 @@ class TestSpectralBlocks:
             return original(m, l_max, x, **kwargs)
 
         monkeypatch.setattr(spectral, "prolate_radial_table", radial)
-        spectral._held.cache_clear()
         rungs = range(5, 201, 5)
         for _ in range(2):
             for l_max in rungs:
@@ -483,7 +482,8 @@ class TestSpectralBlocks:
     )
     def test_surface_tables_match_loop(self, spheroid, l_max, start):
         # dnP/dxi by its recurrence in l, one entry at a time, from the
-        # one-order P and Q tables: n_iso, w and nP0 equal it bit for bit
+        # one-order P and Q tables, rows l = m..l_max: n_iso, w and nP0
+        # equal it bit for bit
         prolate = spheroid.family is Family.PROLATE
         sigma, table = (1.0, prolate_radial_table) if prolate else (-1.0, oblate_radial_table)
         x0 = spheroid_xi0(spheroid)
@@ -491,26 +491,29 @@ class TestSpectralBlocks:
         ms, tables = spectral._surface_tables(spheroid, l_max, start)
         assert ms == range(start, l_max + 1)
         for k, m in enumerate(ms):
-            P, Q = (t[:, 0] for t in table(m, l_max, [x0]))
+            P, Q = (t[0, :, 0] for t in table(range(m, m + 1), l_max, [x0]))
             T = -((-1.0) ** m) / w0
             n_iso, w = np.zeros(l_max + 1), np.zeros(l_max + 1)
             for l in range(l_max + 1):
+                Pl = P[l - m] if l >= m else 0.0
                 if l < m:
                     dP = 0.0
                 elif l == m:
-                    dP = m * x0 * P[m] / w0
+                    dP = m * x0 * Pl / w0
                 else:
-                    dP = (l * x0 * P[l] - sigma * math.sqrt(l * l - m * m) * P[l - 1]) / w0
+                    dP = (l * x0 * Pl - sigma * math.sqrt(l * l - m * m) * P[l - 1 - m]) / w0
                 if l >= m:
-                    n_iso[l] = -dP * Q[l] / T
-                c = -P[l] * dP / T
-                if min(abs(P[l] * dP), abs(c)) >= np.finfo(float).tiny:
+                    n_iso[l] = -dP * Q[l - m] / T
+                c = -Pl * dP / T
+                if min(abs(Pl * dP), abs(c)) >= np.finfo(float).tiny:
                     w[l] = np.sign(c) * math.sqrt(abs(c))
                 else:
-                    amp = math.sqrt(abs(P[l])) * math.sqrt(abs(dP / T))
-                    w[l] = -np.sign(P[l]) * np.sign(dP) * np.sign(T) * amp
-            for actual, expected in zip(tables, (n_iso, w, P)):
+                    amp = math.sqrt(abs(Pl)) * math.sqrt(abs(dP / T))
+                    w[l] = -np.sign(Pl) * np.sign(dP) * np.sign(T) * amp
+            for actual, expected in zip(tables, (n_iso, w)):
                 assert actual[k].tobytes() == expected.tobytes(), m
+            nP0 = tables[2][k]
+            assert nP0[m:].tobytes() == P.tobytes() and nP0[:m].tobytes() == bytes(8 * m), m
 
     def test_failing_sector_kept_out_of_the_held_block(self, monkeypatch):
         # a sector whose surface tables fail does not evict the block of the
@@ -525,7 +528,6 @@ class TestSpectralBlocks:
             return original(m, l_max, x, **kwargs)
 
         monkeypatch.setattr(spectral, "prolate_radial_table", radial)
-        spectral._held.cache_clear()
         for gap in (0.5, 0.6, 0.7):
             calls.append(0)
             with pytest.raises(SpecFunOverflowError):
@@ -545,7 +547,6 @@ class TestSpectralBlocks:
             return original(m, l_max, x, **kwargs)
 
         monkeypatch.setattr(spectral, "oblate_radial_table", radial)
-        spectral._held.cache_clear()
         isolated_depolarization(spheroid, 90, 45)
         assert spectral._held(spheroid)["surface"][:2] == (90, range(45, 91))
         for gap in (0.5, 0.8):
@@ -609,7 +610,6 @@ class TestSpectralBlocks:
         # a near-sphere's surface tables build at aspect 1 + 1e-6 while
         # its mirror tables overflow; at 1 + 1e-7 the surface tables do
         cfg = _config(ctor(1.0 + delta, 1.0), 0.5, Medium.constant(3.12), l_max=90)
-        spectral._held.cache_clear()
         with pytest.raises(SpecFunOverflowError) as info:
             zero_point_energy(cfg)
         assert info.value.m == 0
@@ -653,10 +653,10 @@ class TestSpectralBlocks:
         # D and H of each sector, one sector at a time from its own surface
         # and mirror tables, equal the block build bit for bit
         cfg = _config(spheroid, 0.3, Medium.constant(3.12), l_max=12)
-        spectral._held.cache_clear()
         for m in range(cfg.l_max + 1):
             l_min = max(1, m)
-            n_iso, w, nP0 = spectral._surface_table(spheroid, m, cfg.l_max)
+            ms, tables = spectral._surface_block(spheroid, m, cfg.l_max)
+            n_iso, w, nP0 = (t[m - ms.start, : cfg.l_max + 1] for t in tables)
             _, psi, weighted = spectral._mirror_tables(cfg.particle, cfg.l_max, range(m, m + 1))
             K = (weighted[0] @ psi[0].T) / nP0[l_min:, None]
             w_amp = np.abs(w[l_min:])
@@ -718,7 +718,6 @@ class TestSpectralBlocks:
             return original(a, d, m, l_max) * (1e3 if m == 2 else 1.0)
 
         monkeypatch.setattr(spectral, "_sphere_coupling", scaled)
-        spectral._held.cache_clear()
         with pytest.raises(UnphysicalModeError, match=r"sector m=2\b"):
             mode_spectrum(cfg)
 
@@ -741,7 +740,6 @@ class TestCacheWarmth:
             spectral._quad_nodes.cache_clear()
             spectral._held.cache_clear()
 
-        clear()
         warm = [repr(row) for row in energy_sweep(configs, l_cap=40)]
         cold = []
         for config in configs:
