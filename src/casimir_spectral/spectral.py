@@ -381,7 +381,8 @@ def coupling_matrix_D(particle: PlacedParticle, m: int, l_max: int) -> np.ndarra
     included).
 
     Indexed by l = max(1, m)..l_max.  Every entry decays like
-    (scale/2d)^{l+s+1} as the center height d grows.
+    (scale/2d)^{l+s+1} as the center height d grows.  A spheroid's D is
+    built anew for sector m alone at each call, mirror tables included.
     """
     _check_sector(m, l_max)
     ms, D = _coupling(particle, range(m, m + 1), l_max)
@@ -493,7 +494,10 @@ def spectral_block(config: SystemConfig, m: int) -> SpectralBlock:
     """Eigendecomposition of H = diag(n_iso) + f_c D for azimuthal sector m.
 
     H depends only on geometry and the substrate/ambient contrast, never on
-    the particle's dielectric function.
+    the particle's dielectric function.  Each call builds sector m's D
+    anew, with its own mirror tables: looping this over m = 0..l_max builds
+    l_max + 1 one-sector blocks where mode_spectrum builds a few blocks of
+    many sectors, so read whole spectra from mode_spectrum.
     """
     _check_sector(m, config.l_max)
     ((_, isolated, H),) = _sectors(config, m, m + 1)
@@ -532,7 +536,11 @@ def mode_spectrum(config: SystemConfig) -> tuple:
 
 def effective_polarizability(config: SystemConfig, omega: float, l: int, m: int) -> float:
     """alpha_eff^{lm}(omega) = -(v/4pi) sum_s C_s^{lm} / (u - n_s) of the
-    Drude particle, u = omega^2 with omega in units of omega_p."""
+    Drude particle, u = omega^2 with omega in units of omega_p.
+
+    Each call solves sector m anew (spectral_block), though its modes do not
+    depend on omega: to sweep omega, take spectral_block(config, m) once
+    and evaluate the sum above from its eigenvalues and strengths."""
     if l < max(1, m) or l > config.l_max:
         raise SpecFunDomainError(f"l={l} outside block range for m={m}")
     u = omega**2

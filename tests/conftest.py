@@ -10,11 +10,14 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 @pytest.fixture(autouse=True)
 def fresh_spectral_state():
-    """Every test starts from empty spectral caches, and no sweep before it
-    left coupling blocks behind."""
+    """Every test starts from empty spectral caches, and a test that leaves
+    a sweep's coupling blocks behind fails at its own teardown."""
     spectral._held.cache_clear()
     spectral._quad_nodes.cache_clear()
-    assert spectral._shared_D == {}
+    yield
+    leaked = dict(spectral._shared_D)
+    spectral._shared_D.clear()  # reported once, by the test that leaked
+    assert leaked == {}
 
 
 @pytest.fixture

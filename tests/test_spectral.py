@@ -279,13 +279,25 @@ class TestSpectralBlocks:
         "spheroid", [Spheroid.prolate(2.0, 1.0), Spheroid.oblate(1.4, 1.0)], ids=["prolate", "oblate"]
     )
     def test_block_size_does_not_change_sectors(self, monkeypatch, spheroid):
+        # the H of every sector read from the default blocks (one block of
+        # all 13 sectors at l_max = 12) equals, bit for bit, the H of one
+        # block for the whole rung, of one sector per block, and of
+        # spectral_block's one-sector builds requested out of order
         cfg = _config(spheroid, 0.3, Medium.constant(3.12), l_max=12)
-        blocked = [spectral_block(cfg, m).H for m in range(13)]
-        # one sector per block, requested out of order
+        assert spectral._block_orders(0, 13, 12) == range(13)
+
+        def sector_H():
+            spectral._held.cache_clear()
+            return [H.tobytes() for _, _, H in spectral._sectors(cfg, 0, 13)]
+
+        blocked = sector_H()
+        monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1 << 30)
+        assert sector_H() == blocked
         monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1)
+        assert sector_H() == blocked
         spectral._held.cache_clear()
         for m in (7, 3, 12, 0, 8):
-            assert np.array_equal(spectral_block(cfg, m).H, blocked[m])
+            assert spectral_block(cfg, m).H.tobytes() == blocked[m]
 
     @pytest.mark.parametrize(
         "spheroid", [Spheroid.prolate(2.0, 1.0), Spheroid.oblate(1.5, 1.0)], ids=["prolate", "oblate"]
@@ -651,8 +663,15 @@ class TestSpectralBlocks:
     )
     def test_spheroid_coupling_matches_loop(self, spheroid):
         # D and H of each sector, one sector at a time from its own surface
-        # and mirror tables, equal the block build bit for bit
+        # and mirror tables, equal bit for bit those of one block of all 13
+        # sectors (the block mode_spectrum reads at l_max = 12) and those
+        # of the one-sector builds
         cfg = _config(spheroid, 0.3, Medium.constant(3.12), l_max=12)
+        assert spectral._block_orders(0, 13, 12) == range(13)
+        ms, D_block = spectral._spheroid_coupling(cfg.particle, range(13), cfg.l_max)
+        assert ms == range(13)
+        _, o, _, _ = spectral._layout(ms, cfg.l_max)
+        H_block = [H.tobytes() for _, _, H in spectral._sectors(cfg, 0, 13)]
         for m in range(cfg.l_max + 1):
             l_min = max(1, m)
             ms, tables = spectral._surface_block(spheroid, m, cfg.l_max)
@@ -663,6 +682,8 @@ class TestSpectralBlocks:
             D = (-1.0 if m % 2 else 1.0) * (w_amp[:, None] * K * w_amp[None, :])
             D = 0.5 * (D + D.T)
             H = np.diag(n_iso[l_min:]) + cfg.f_c * D
+            assert D_block[o[m] : o[m + 1]].tobytes() == D.tobytes()
+            assert H_block[m] == H.tobytes()
             assert coupling_matrix_D(cfg.particle, m, cfg.l_max).tobytes() == D.tobytes()
             assert spectral_block(cfg, m).H.tobytes() == H.tobytes()
 
