@@ -29,8 +29,6 @@ from .model import (
 from .spectral import (
     SectorModes,
     SpectralBlock,
-    coupling_matrix_D,
-    effective_polarizability,
     isolated_depolarization,
     mode_spectrum,
     spectral_block,
@@ -69,8 +67,6 @@ __all__ = [
     "contrast_fc",
     "SectorModes",
     "SpectralBlock",
-    "coupling_matrix_D",
-    "effective_polarizability",
     "isolated_depolarization",
     "mode_spectrum",
     "spectral_block",

@@ -519,12 +519,11 @@ def main(argv=None) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
+        config = parse_config(text, args.scenario)
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 3
-    try:
-        config = parse_config(text, args.scenario)
-    except ConfigParseError as exc:
+    except (ConfigParseError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1
     return run(replace(config, output_path=args.output, strict=args.strict))

@@ -33,10 +33,6 @@ class UnphysicalModeError(CasimirSpectralError, ValueError):
     """An eigenvalue left (0, 1): truncation too small or near-contact geometry."""
 
 
-class PoleError(CasimirSpectralError, ZeroDivisionError):
-    """Effective polarizability evaluated exactly on a mode resonance."""
-
-
 class ConvergenceError(CasimirSpectralError, RuntimeError):
     """Multipolar truncation ladder hit its cap without meeting tolerance."""
 
@@ -46,7 +42,9 @@ class ConvergenceError(CasimirSpectralError, RuntimeError):
 
 
 class ContractViolationError(CasimirSpectralError, ValueError):
-    """An internal matrix contract (symmetry, orthogonality) was violated."""
+    """An internal matrix contract was violated: H is not square, finite
+    or symmetric, D's weights have the wrong signs or D is not symmetric,
+    or LAPACK returned info != 0."""
 
 
 class OracleError(CasimirSpectralError, RuntimeError):

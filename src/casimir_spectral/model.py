@@ -83,12 +83,6 @@ class Spheroid:
         return self.r_minor
 
     @property
-    def volume(self) -> float:
-        if self.family is Family.OBLATE:
-            return 4.0 * math.pi / 3.0 * self.r_major**2 * self.r_minor
-        return 4.0 * math.pi / 3.0 * self.r_major * self.r_minor**2
-
-    @property
     def apex_curvature_radius(self) -> float:
         """Radius of curvature at the point closest to the substrate."""
         if self.family is Family.OBLATE:

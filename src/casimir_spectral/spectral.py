@@ -1,5 +1,5 @@
 """Spectral core: per-azimuthal-sector coupling matrices, their
-eigendecomposition, mode frequencies, and the effective polarizability.
+eigendecomposition and mode frequencies.
 
 The surface-mode eigenproblem in the spectral variable u reads, per
 azimuthal number m,
@@ -41,7 +41,6 @@ from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
 from .errors import (
     ContractViolationError,
-    PoleError,
     SpecFunDomainError,
     SpecFunOverflowError,
     UnphysicalModeError,
@@ -205,8 +204,6 @@ def isolated_depolarization_table(spheroid: Spheroid, m: int, l_max: int) -> np.
 
 def isolated_depolarization(spheroid: Spheroid, l: int, m: int) -> float:
     """Depolarization factor of the isolated particle for multipole (l, m)."""
-    if l < 1 or m < 0 or m > l:
-        raise SpecFunDomainError(f"need 1 <= l and 0 <= m <= l, got l={l}, m={m}")
     return float(isolated_depolarization_table(spheroid, m, l)[l])
 
 
@@ -383,6 +380,10 @@ def coupling_matrix_D(particle: PlacedParticle, m: int, l_max: int) -> np.ndarra
     Indexed by l = max(1, m)..l_max.  Every entry decays like
     (scale/2d)^{l+s+1} as the center height d grows.  A spheroid's D is
     built anew for sector m alone at each call, mirror tables included.
+
+    Not exported from the package: no package code calls it.  It stays
+    for the tests that read one sector's D, and because the benchmark's
+    trace map wraps it by name.
     """
     _check_sector(m, l_max)
     ms, D = _coupling(particle, range(m, m + 1), l_max)
@@ -532,23 +533,3 @@ def mode_spectrum(config: SystemConfig) -> tuple:
             )
         sectors.append(SectorModes(m, max(1, m), isolated, vals))
     return tuple(sectors)
-
-
-def effective_polarizability(config: SystemConfig, omega: float, l: int, m: int) -> float:
-    """alpha_eff^{lm}(omega) = -(v/4pi) sum_s C_s^{lm} / (u - n_s) of the
-    Drude particle, u = omega^2 with omega in units of omega_p.
-
-    Each call solves sector m anew (spectral_block), though its modes do not
-    depend on omega: to sweep omega, take spectral_block(config, m) once
-    and evaluate the sum above from its eigenvalues and strengths."""
-    if l < max(1, m) or l > config.l_max:
-        raise SpecFunDomainError(f"l={l} outside block range for m={m}")
-    u = omega**2
-    block = spectral_block(config, m)
-    n_s = block.eigenvalues
-    idx = np.argmin(np.abs(u - n_s))
-    if u == n_s[idx]:
-        raise PoleError(f"u={u} sits exactly on mode {idx} of sector m={m}")
-    C = block.strengths[l - block.l_min]
-    v = config.particle.spheroid.volume
-    return float(-(v / (4.0 * math.pi)) * np.sum(C / (u - n_s)))

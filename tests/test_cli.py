@@ -331,6 +331,13 @@ class TestScenarios:
         cfg_path.write_text("bogus.key = 1\n")
         assert main(["modes", "--config", str(cfg_path)]) == 1
 
+    def test_non_utf8_config_is_parse_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(b"\xff\xfes\x00u\x00b\x00")  # UTF-16 with a BOM
+        assert main(["modes", "--config", str(cfg_path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ")
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["modes", "--config", str(tmp_path / "nope.cfg")]) == 3
 

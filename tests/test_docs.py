@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 
+import casimir_spectral
 from casimir_spectral import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -33,3 +34,13 @@ def test_readme_config_keys_and_scenarios_match_cli():
     assert sorted(keys) == sorted(cli._KEYS)
     (listed,) = re.findall(r"^Scenarios: (.*?)\.$", cli_section, flags=re.M | re.S)
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(cli.SCENARIOS)
+
+
+def test_readme_lists_every_exported_name():
+    # README's Library section lists the package's public names, one a
+    # line in the order of __all__, and no other
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    listing = library.split("The package exports exactly these names", 1)[1]
+    names = re.findall(r"^- `(\w+)`:", listing.split("\n\n", 2)[1], flags=re.M)
+    assert names == casimir_spectral.__all__

@@ -27,7 +27,6 @@ class TestSpheroid:
         assert s.r_major == s.r_minor == 2.0
         assert s.eccentricity == 0.0
         assert s.apex_curvature_radius == 2.0
-        assert s.volume == pytest.approx(4.0 * math.pi / 3.0 * 8.0)
 
     def test_prolate_axes(self):
         s = Spheroid.prolate(2.0, 1.0)
@@ -41,8 +40,6 @@ class TestSpheroid:
         assert s.r_perp == 1.0
         assert s.r_par == 2.0
         assert s.apex_curvature_radius == pytest.approx(4.0)
-        # the symmetry axis is the short one
-        assert s.volume == pytest.approx(4.0 * math.pi / 3.0 * 4.0)
 
     def test_invalid_axes(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from casimir_spectral.energy import energy_sweep, zero_point_energy
 from casimir_spectral.errors import (
     CasimirSpectralError,
     ContractViolationError,
-    PoleError,
     SpecFunDomainError,
     SpecFunOverflowError,
     UnphysicalModeError,
@@ -27,7 +26,6 @@ from casimir_spectral.model import (
 )
 from casimir_spectral.spectral import (
     coupling_matrix_D,
-    effective_polarizability,
     isolated_depolarization,
     isolated_depolarization_table,
     mode_spectrum,
@@ -768,50 +766,3 @@ class TestCacheWarmth:
             cold.append(repr(energy_sweep([config], l_cap=40)[0]))
         assert all(row.endswith("error=None)") for row in cold)
         assert warm == cold
-
-
-class TestEffectivePolarizability:
-    def test_static_sign(self):
-        cfg = _config(Spheroid.sphere(1.0), 1.0, Medium.perfect_conductor(), l_max=10)
-        # omega = 0 means u = 0, below every mode: polarizability positive
-        alpha = effective_polarizability(cfg, 0.0, 1, 0)
-        assert alpha > 0.0
-
-    @pytest.mark.parametrize("l, m", [(0, 0), (1, 2), (11, 0)])
-    def test_order_outside_block_raises(self, l, m):
-        # the block of sector m holds l = max(1, m)..l_max
-        cfg = _config(Spheroid.sphere(1.0), 1.0, Medium.perfect_conductor(), l_max=10)
-        with pytest.raises(SpecFunDomainError):
-            effective_polarizability(cfg, 0.4, l, m)
-
-    def test_pole_raises(self):
-        # u = omega^2 lands exactly on a mode only where sqrt(n)^2 == n,
-        # which depends on the last bit of n: take the first such mode
-        cfg = _config(Spheroid.sphere(1.0), 1.0, Medium.perfect_conductor(), l_max=10)
-        exact = [
-            (m, omega)
-            for m in range(cfg.l_max + 1)
-            for n in spectral_block(cfg, m).eigenvalues.tolist()
-            if (omega := math.sqrt(n)) ** 2 == n
-        ]
-        assert exact
-        m, omega = exact[0]
-        with pytest.raises(PoleError):
-            effective_polarizability(cfg, omega, max(1, m), m)
-
-    def test_drude_variable_ignores_ambient(self):
-        # the particle is Drude relative to the ambient: u = omega^2 for
-        # every ambient epsilon
-        cfg = SystemConfig(
-            PlacedParticle(Spheroid.sphere(1.0), gap=1.0),
-            Medium.constant(3.12),
-            ambient_epsilon=2.0,
-            l_max=6,
-        )
-        block = spectral_block(cfg, 0)
-        expected = -(cfg.particle.spheroid.volume / (4.0 * math.pi)) * np.sum(
-            block.strengths[0] / (0.16 - block.eigenvalues)
-        )
-        assert effective_polarizability(cfg, 0.4, 1, 0) == pytest.approx(
-            expected, rel=1e-14
-        )
