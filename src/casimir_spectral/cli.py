@@ -36,15 +36,6 @@ from .spectral import mode_spectrum
 _BASE_COLUMNS = ("z_over_rmin", "xi", "beta_local", "l_max_used", "converged")
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def _finite(s: str) -> float:
     value = float(s)
     if not math.isfinite(value):
@@ -69,8 +60,7 @@ _KEYS = {
     "geometry.r_major": (_finite, 1.0),
     "geometry.r_minor": (_finite, 1.0),
     "geometry.family": (str, None),
-    "substrate.epsilon": (_finite, None),
-    "substrate.perfect_conductor": (_parse_bool, None),
+    "substrate.epsilon": (float, None),  # inf: the perfect conductor
     "ambient.epsilon": (_finite, 1.0),
     "sweep.z_over_rmin": (_parse_grid, (0.2, 20.0, 25)),
     "sweep.aspect_ratio": (_parse_grid, None),
@@ -143,19 +133,12 @@ def _validate(scenario: str, params: dict) -> None:
         raise ConfigParseError(f"truncation.l_max must be >= {l_min} for {scenario}")
     if not params["truncation.tolerance"] > 0.0:
         raise ConfigParseError("truncation.tolerance must be positive")
-    if "substrate.epsilon" in params and params.get("substrate.perfect_conductor"):
-        raise ConfigParseError(
-            "substrate.epsilon and substrate.perfect_conductor are exclusive"
-        )
     _built("ambient.epsilon", Medium.constant, params["ambient.epsilon"])
     spheroid, _ = _configured(params)
     params["geometry.family"] = spheroid.family.value
     spec = _SWEEP if scenario == "modes" else _LADDERS.get(scenario)
     if spec is not None and any(sub is None for _, _, sub in spec.systems(params)):
-        raise ConfigParseError(
-            f"scenario {scenario!r} requires substrate.epsilon or "
-            "substrate.perfect_conductor = true"
-        )
+        raise ConfigParseError(f"scenario {scenario!r} requires substrate.epsilon")
 
 
 def _built(key: str, constructor, *args):
@@ -180,18 +163,9 @@ def _configured(params: dict) -> tuple:
         _built("geometry", Spheroid.prolate, r_major, r_minor)
         raise ConfigParseError("geometry.family required when r_major != r_minor")
     spheroid = _built("geometry", Spheroid, r_major, r_minor, family)
-    if params.get("substrate.perfect_conductor"):
-        return spheroid, Medium.perfect_conductor()
     if "substrate.epsilon" not in params:
         return spheroid, None
-    eps = params["substrate.epsilon"]
-    return spheroid, _built("substrate.epsilon", Medium.constant, eps)
-
-
-def _geomspace(start: float, stop: float, points: int) -> np.ndarray:
-    if points == 1:
-        return np.asarray([start])
-    return np.geomspace(start, stop, points)
+    return spheroid, _built("substrate.epsilon", Medium, params["substrate.epsilon"])
 
 
 def _fmt(value) -> str:
@@ -241,7 +215,7 @@ def _pfa_ratio(config: SystemConfig, sample) -> float:
 
 
 def _z_grid(params: dict) -> np.ndarray:
-    return _geomspace(*params["sweep.z_over_rmin"])
+    return np.geomspace(*params["sweep.z_over_rmin"])
 
 
 @dataclass(frozen=True)
@@ -409,7 +383,7 @@ _LADDERS = {
     "fig3": _Ladder(
         systems=lambda params: [
             ({"aspect_ratio": r}, _fig3_spheroid(r), _SAPPHIRE)
-            for r in _geomspace(*params.get("sweep.aspect_ratio", FIG3_DEFAULT_GRID))
+            for r in np.geomspace(*params.get("sweep.aspect_ratio", FIG3_DEFAULT_GRID))
         ],
         grid=lambda _: (FIG3_Z_OVER_RPERP,),
         gap_axis="r_perp",

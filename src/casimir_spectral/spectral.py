@@ -354,22 +354,25 @@ def _spheroid_coupling(particle: PlacedParticle, ms: range, l_max: int):
 # D depends on the placed particle only, never on the substrate: while
 # energy_sweep evaluates configs that repeat a particle, it puts an entry
 # {} for the particle here, and every coupling block built for the
-# particle is kept in it under (m, l_max) of each of its sectors; the sweep
-# drops the entry after the particle's last config and empties this on
-# leaving.
+# particle is kept in it once, under (m, l_max) of its first sector m.
+# Every config of a particle asks for the same block starts: a geometry
+# failure cuts a block alike for every substrate, and an
+# UnphysicalModeError only ends one config's run of blocks early.  The
+# sweep drops the entry after the particle's last config and empties this
+# on leaving.
 _shared_D: dict = {}
 
 
 def _coupling(particle: PlacedParticle, ms: range, l_max: int):
-    """(ms', D) of a coupling block that holds sector ms.start: the one
-    kept for the sweep, or a new build of the sectors ms."""
+    """(ms', D) of a coupling block that starts at sector ms.start: the
+    one kept for the sweep, or a new build of the sectors ms."""
     kept = _shared_D.get(particle) if _shared_D else None
     if kept is not None and (ms.start, l_max) in kept:
         return kept[ms.start, l_max]
     build = _sphere_block if particle.spheroid.family is Family.SPHERE else _spheroid_coupling
     block = build(particle, ms, l_max)
     if kept is not None:
-        kept.update(((k, l_max), block) for k in block[0])
+        kept[ms.start, l_max] = block
     return block
 
 
@@ -388,8 +391,7 @@ def coupling_matrix_D(particle: PlacedParticle, m: int, l_max: int) -> np.ndarra
     _check_sector(m, l_max)
     ms, D = _coupling(particle, range(m, m + 1), l_max)
     s, o, _, _ = _layout(ms, l_max)
-    k = m - ms.start
-    return D[o[k] : o[k + 1]].reshape(s[k], s[k])
+    return D[: o[1]].reshape(s[0], s[0])
 
 
 def _sectors(config: SystemConfig, m: int, stop: int):
@@ -422,10 +424,10 @@ def _sectors(config: SystemConfig, m: int, stop: int):
         else:  # diag(n_iso) + f_c D, built in place: 0 + f_c D off the
             # diagonal turns -0.0 into 0.0, and on it f_c D + 0.0 + n_iso
             # is n_iso + f_c D
-            H = D[: o[-1]] * f_c
+            H = D * f_c
             H += 0.0
             H[diagonal] += n_iso
-        for k in range(m - ms.start, min(len(ms), stop - ms.start)):
+        for k in range(len(ms)):
             yield ms[k], isolated[r[k] : r[k + 1]], H[o[k] : o[k + 1]].reshape(s[k], s[k])
         m = ms.stop
         del D, H  # freed before the next block is built

@@ -10,6 +10,7 @@ import pytest
 from casimir_spectral import cli
 from casimir_spectral.cli import RunConfig, main, parse_config, run
 from casimir_spectral.errors import ConfigParseError
+from casimir_spectral.model import Medium, contrast_fc
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -17,7 +18,7 @@ SPHERE_CFG = """
 # sphere above a perfect conductor
 geometry.r_major = 1.0
 geometry.r_minor = 1.0
-substrate.perfect_conductor = true
+substrate.epsilon = inf
 sweep.z_over_rmin = 1.0:4.0:4
 truncation.l_max = 40
 """
@@ -57,18 +58,18 @@ FAILING_CFG = """
 geometry.r_major = 2.0
 geometry.r_minor = 1.0
 geometry.family = prolate
-substrate.perfect_conductor = true
+substrate.epsilon = inf
 sweep.z_over_rmin = 0.02:1.5:4
 sweep.aspect_ratio = 0.6:1.8:2
 truncation.l_max = 20
 """
 FAILING_DIGESTS = {
-    "pfa_compare": "d996e4025032665beb145d6a7e23d58ea42b7aefe25f2d37ac85076716dce4a0",
-    "fig3": "7032406240fe8f5d372cd3d61492cdaccd6d048e5ce7cd81d1f7e293ba7d2dfb",
-    "fig1_eps_inf": "16afcdefdb8be912e916eed894d770a16b0b7732ecf1fdc656707aa13e40ac87",
-    "fig1_eps_7p8": "5d0a46b7605511f9fe0598da394168b9afaceb3495c448ca56666cd5a7e2863f",
-    "fig1_eps_3p12": "93bffebccf388ac70fefc491b6cf402b56cccf254a4fc28f4ebd4ec4634af518",
-    "fig1_eps_1p6": "aecaa31ff3914cbaa97b46940159c3489a17d2be20bf0f78b04162f6ead0a544",
+    "pfa_compare": "d9b8a543e079934b42c09a44c9c7444e5b6e8725b5d734457d99cad7a2791074",
+    "fig3": "84aade9f656458d6268c20fd95f97436a4dbcbc48904c5be5bcf39b3243d4a4c",
+    "fig1_eps_inf": "a2372585d58b3dd31932ca4c7c567631d2c6c9418c2cc66a134ea28f2b5433c4",
+    "fig1_eps_7p8": "3f1f0e6b38007a2777209897e024763b2c55d98a8018c1dc35f56b6a30c5285b",
+    "fig1_eps_3p12": "aac49aeba0d1308b512538679ff5ace992fdaed87e0c63c45705c868d36150c1",
+    "fig1_eps_1p6": "80eb524dc22baecfbd29d80b63ed0f6ea87034071ae4eb5ad6e11d5953b6fb22",
 }
 
 
@@ -83,7 +84,8 @@ REJECT_BASE = {
 REJECTED = {
     "r_major_inf": ("modes", {"geometry.r_major": "inf"}),
     "grid_end_inf": ("energy_sweep", {"sweep.z_over_rmin": "0.5:inf:3"}),
-    "substrate_epsilon_inf": ("energy_sweep", {"substrate.epsilon": "inf"}),
+    "substrate_epsilon_nan": ("energy_sweep", {"substrate.epsilon": "nan"}),
+    "substrate_epsilon_minus_inf": ("energy_sweep", {"substrate.epsilon": "-inf"}),
     "ambient_epsilon_inf": ("energy_sweep", {"ambient.epsilon": "inf"}),
     "prolate_r_major_below_r_minor": (
         "modes",
@@ -98,7 +100,7 @@ REJECTED = {
     "substrate_epsilon_negative": ("modes", {"substrate.epsilon": "-2"}),
     "ambient_epsilon_zero": ("modes", {"ambient.epsilon": "0"}),
     "ladder_cap_below_two_rungs": ("energy_sweep", {"truncation.l_max": "9"}),
-    "perfect_conductor_not_boolean": ("modes", {"substrate.perfect_conductor": "maybe"}),
+    "unknown_key_perfect_conductor": ("modes", {"substrate.perfect_conductor": "true"}),
     "grid_two_fields": ("energy_sweep", {"sweep.z_over_rmin": "0.5:2"}),
     "grid_stop_below_start": ("energy_sweep", {"sweep.z_over_rmin": "2:0.5:3"}),
     "grid_degenerate": ("energy_sweep", {"sweep.z_over_rmin": "1:1:3"}),
@@ -183,12 +185,12 @@ class TestParseConfig:
         with pytest.raises(ConfigParseError, match="r_major must be >= r_minor"):
             parse_config(swapped, scenario="modes")
 
-    def test_exclusive_substrate_keys(self):
-        with pytest.raises(ConfigParseError):
-            parse_config(
-                "substrate.epsilon = 2.0\nsubstrate.perfect_conductor = true",
-                scenario="modes",
-            )
+    def test_infinite_substrate_is_perfect_conductor(self):
+        cfg = parse_config("substrate.epsilon = inf", scenario="energy_sweep")
+        assert cfg.parameters["substrate.epsilon"] == math.inf
+        _, substrate = cli._configured(cfg.parameters)
+        assert substrate == Medium(math.inf)
+        assert contrast_fc(cfg.parameters["ambient.epsilon"], substrate) == -1.0
 
     def test_scenario_mismatch(self):
         # the positional argument alone names the scenario
@@ -200,14 +202,9 @@ class TestParseConfig:
     )
     def test_substrate_required(self, scenario):
         # every scenario built from the configured geometry needs a substrate
-        expected = (
-            f"scenario {scenario!r} requires substrate.epsilon or "
-            "substrate.perfect_conductor = true"
-        )
-        for text in ("geometry.r_major = 1.0", "substrate.perfect_conductor = false"):
-            with pytest.raises(ConfigParseError) as info:
-                parse_config(text, scenario=scenario)
-            assert str(info.value) == expected
+        with pytest.raises(ConfigParseError) as info:
+            parse_config("geometry.r_major = 1.0", scenario=scenario)
+        assert str(info.value) == f"scenario {scenario!r} requires substrate.epsilon"
 
     @pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
     def test_parse_error(self, case):
@@ -286,7 +283,7 @@ class TestScenarios:
         cfg_path = tmp_path / "run.cfg"
         out_path = tmp_path / "modes.csv"
         cfg_path.write_text(
-            "substrate.perfect_conductor = true\n"
+            "substrate.epsilon = inf\n"
             "sweep.z_over_rmin = 1.0:1.0:1\n"
             "truncation.l_max = 6\n"
         )
@@ -314,7 +311,7 @@ class TestScenarios:
         cfg_path = tmp_path / "run.cfg"
         out_path = tmp_path / "out.csv"
         cfg_path.write_text(
-            "substrate.perfect_conductor = true\n"
+            "substrate.epsilon = inf\n"
             "sweep.z_over_rmin = 0.01:0.01:1\n"
             "truncation.l_max = 10\n"
         )

@@ -183,6 +183,23 @@ class TestSweep:
         assert rows[1].sample is not None
         assert [row.config.particle.gap for row in rows] == grid
 
+    def test_ladders_run_in_config_order(self, monkeypatch):
+        # media outer, gaps inner, as the CLI builds fig1: each particle
+        # repeats out of order, and its ladders still run in the given order
+        ladder = energy.convergence_ladder
+        calls = []
+
+        def recorded(config, **kwargs):
+            calls.append(config)
+            return ladder(config, **kwargs)
+
+        monkeypatch.setattr(energy, "convergence_ladder", recorded)
+        media = (Medium(math.inf), Medium(3.12))
+        configs = [_sphere_config(z, medium) for medium in media for z in (2.0, 4.0)]
+        rows = energy_sweep(configs, l_cap=15)
+        assert calls == configs
+        assert [row.config for row in rows] == configs
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken_ladder(config, **kwargs):
             raise TypeError("not a package error")
@@ -202,10 +219,10 @@ def _oblate_config(medium, z, l_max=30):
 
 
 def _held_bytes():
-    # a kept coupling block is listed under each of its sectors; count the
-    # memory each block's stack owns once
-    stacks = {id(D): D for kept in spectral._shared_D.values() for _, D in kept.values()}
-    return sum((D if D.base is None else D.base).nbytes for D in stacks.values())
+    # a kept coupling block is listed once, under its first sector; count
+    # the memory its stack owns
+    stacks = [D for kept in spectral._shared_D.values() for _, D in kept.values()]
+    return sum((D if D.base is None else D.base).nbytes for D in stacks)
 
 
 class TestSharedCoupling:
