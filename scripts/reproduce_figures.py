@@ -5,6 +5,7 @@ Usage: python scripts/reproduce_figures.py [outdir]
 """
 
 import pathlib
+import shutil
 import sys
 import tempfile
 
@@ -24,12 +25,17 @@ def run(outdir: pathlib.Path) -> int:
         for scenario, config_text in CONFIGS.items():
             config_path = pathlib.Path(tmp) / f"{scenario}.cfg"
             config_path.write_text(config_text, encoding="utf-8")
-            output = outdir / f"{scenario}.csv"
+            # a scenario writes into a directory of its own, so the report
+            # names the files it wrote: fig1 writes one per substrate
+            written = pathlib.Path(tmp) / scenario
+            written.mkdir()
+            output = written / f"{scenario}.csv"
             code = main([scenario, "--config", str(config_path), "--output", str(output)])
             if code != 0:
                 print(f"{scenario}: exit {code}", file=sys.stderr)
                 return code
-            print(f"{scenario}: wrote {output}")
+            for path in sorted(written.iterdir()):
+                print(f"{scenario}: wrote {shutil.move(path, outdir / path.name)}")
     return 0
 
 

@@ -128,9 +128,9 @@ def parse_config(text: str, scenario: str) -> RunConfig:
 
 def _validate(scenario: str, params: dict) -> None:
     """The checks the model cannot make; its constructors make the others."""
-    l_min = 2 * L_STEP if scenario in _LADDERS else 1  # a ladder needs two rungs
-    if params["truncation.l_max"] < l_min:
-        raise ConfigParseError(f"truncation.l_max must be >= {l_min} for {scenario}")
+    least = 2 * L_STEP if scenario in _LADDERS else 1  # a ladder needs two rungs
+    if params["truncation.l_max"] < least:
+        raise ConfigParseError(f"truncation.l_max must be >= {least} for {scenario}")
     if not params["truncation.tolerance"] > 0.0:
         raise ConfigParseError("truncation.tolerance must be positive")
     _built("ambient.epsilon", Medium.constant, params["ambient.epsilon"])

@@ -30,7 +30,10 @@ fraction for the ratio nQ_{l+1}/nQ_l, anchored with the Wronskian.
 Every table takes a range of consecutive orders m0..m1, computed in one
 pass, and returns a stack holding only the rows l = m0..l_max of each
 order: no order of the range reads a row below m0.  One order m is
-range(m, m + 1).
+range(m, m + 1).  Every order's working rows run to l_max + 1, the row
+l = m + 1 that the Wronskian anchor of m = l_max reads, so every order
+goes through the same loops; a continued fraction started deeper gives
+the same rows l <= l_max bit for bit.
 
 ln(n!) has one entry point, the read-only table :func:`log_factorials`,
 which the seeds of both kernels and the sphere coupling read.  Its entries
@@ -127,16 +130,14 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float):
     whose row i holds l = ms.start + i; rows below an order's own l = m are
     zero.  Each order's entries go through the same floating-point
     operations whatever the range, so a stack's k-th table is bit-identical
-    to the rows l >= ms.start of a call for range(ms[k], ms[k] + 1).  A
-    step in l touches the orders with m <= l <= L_m, and because both grow
-    with m, they are one slice.  Raises SpecFunOverflowError for the lowest order
-    whose P or Q table is not finite.
+    to the rows l >= ms.start of a call for range(ms[k], ms[k] + 1).
+    Every order's working rows run to L = l_max + 1, so a step in l
+    touches the orders with m <= l (m < l in the continued fraction), a
+    leading slice of the stack.  Raises SpecFunOverflowError for the lowest
+    order whose P or Q table is not finite.
     """
     n, m0 = len(ms), ms.start
-    # a table ends at L_m = l_max, except at m = l_max, whose Wronskian
-    # anchor needs l = m + 1; rows [0, n_short) end at l_max
-    n_short = n - (ms[-1] == l_max)
-    L = l_max + (n_short < n)
+    L = l_max + 1  # the Wronskian anchor of m = l_max reads l = m + 1
     theta = np.arccosh(x) if sigma > 0 else np.arcsinh(x)
     extra = _cf_extra_terms(float(np.min(theta)))
     mv = np.arange(m0, m0 + n)
@@ -161,17 +162,15 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float):
     p_finite = np.isfinite(nP).all(axis=(1, 2))
 
     # continued fraction for the ratios nQ_l/nQ_{l-1}, computed downward
-    # from L_m + extra and kept in q[k, l - m0] for l = m+1..L_m
+    # from L + extra and kept in q[k, l - m0] for l = m+1..L
     q = np.zeros_like(nP)
     r = np.zeros((n, x.size))
     for l in range(L + extra, m0, -1):
-        a = n_short if l > l_max + extra else 0  # rows with L_m + extra >= l
         b = min(l - m0, n)  # rows with m < l
         # downward: nQ_{l-1} = ((2l+1) x nQ_l - sigma s_{l+1} nQ_{l+1}) / s_l
-        r[a:b] = s[l, a:b] / ((2 * l + 1) * x - ss[l + 1, a:b] * r[a:b])
+        r[:b] = s[l, :b] / ((2 * l + 1) * x - ss[l + 1, :b] * r[:b])
         if l <= L:
-            a = n_short if l > l_max else 0  # rows with L_m >= l
-            q[a:b, l - m0] = r[a:b]
+            q[:b, l - m0] = r[:b]
 
     # anchor nQ_m via the Wronskian at l = m+1:
     # nP_{m+1} nQ'_{m+1} - nP'_{m+1} nQ_{m+1} = T,  T = -(-1)^m / w
@@ -182,11 +181,12 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float):
     dP1 = ((mv + 1)[:, None] * x * nP1 - ss[mv + 1, rows] * nPm) / w
     denom = nP1 * ((mv + 1)[:, None] * x * r_m - s1) / w - dP1 * r_m
     q[rows, rows] = T / denom
-    for l in range(m0, L):
-        a = n_short if l == l_max else 0  # rows with L_m > l
+    for l in range(m0, l_max):
         b = min(l - m0 + 1, n)  # rows with m <= l
-        q[a:b, l + 1 - m0] *= q[a:b, l - m0]  # nQ_{l+1} = ratio * nQ_l
-    finite = p_finite & np.isfinite(q).all(axis=(1, 2))
+        q[:b, l + 1 - m0] *= q[:b, l - m0]  # nQ_{l+1} = ratio * nQ_l
+    nP, q = nP[:, : l_max + 1 - m0], q[:, : l_max + 1 - m0]
+    nQ1 = r_m * q[rows, rows]  # nQ_{m+1}, not returned at m = l_max but checked
+    finite = p_finite & np.isfinite(q).all(axis=(1, 2)) & np.isfinite(nQ1).all(axis=1)
 
     if not finite.all():
         k = int(np.flatnonzero(~finite)[0])
@@ -196,7 +196,7 @@ def _radial_kernel(ms: range, l_max: int, x: np.ndarray, sigma: float):
         else:
             message = f"P_l^m overflow for m={m}, l_max={l_max}: reduce l_max or aspect"
         raise SpecFunOverflowError(message, m=m)
-    return nP[:, : l_max + 1 - m0], q[:, : l_max + 1 - m0]
+    return nP, q
 
 
 def _radial_call(ms, l_max: int, x: np.ndarray, sigma: float):
@@ -248,7 +248,9 @@ def normalized_ferrers_table(ms, l_max: int, eta):
     mv = np.arange(m0, m0 + n)
     mf = mv.astype(float)
     rows = np.arange(n)
-    out = np.zeros((n, l_max + 1 - m0, eta.size))  # row i holds l = m0 + i
+    # row i holds l = m0 + i, up to l_max + 1 so that every order's
+    # l = m + 1 has a row; rows l <= l_max are returned
+    out = np.zeros((n, l_max + 2 - m0, eta.size))
     # Pbar_m^m = sqrt((2m+1)/2) * sqrt(1/(2m)!) (2m-1)!! (1-eta^2)^{m/2};
     # np.log equals math.log on (2m+1)/2 for every m below 54 731
     log_pre = 0.5 * np.log((2 * mv + 1) / 2.0) + _seed_log_pmm(mv, l_max)
@@ -257,10 +259,7 @@ def normalized_ferrers_table(ms, l_max: int, eta):
         power = np.where(mv[:, None] > 0, (0.5 * mf)[:, None] * np.log(1.0 - eta * eta), 0.0)
     out[rows, rows] = np.exp(log_pre[:, None] + power)
     # fully-normalized forward recurrence; at l = m the lower term is absent
-    k1 = n - (ms[-1] == l_max)  # rows with m < l_max
-    out[rows[:k1], rows[:k1] + 1] = (
-        np.sqrt(2.0 * mf[:k1] + 3.0)[:, None] * eta * out[rows[:k1], rows[:k1]]
-    )
+    out[rows, rows + 1] = np.sqrt(2.0 * mf + 3.0)[:, None] * eta * out[rows, rows]
     # A[l, k] and B[l, k] of order ms[k], as columns over eta; entries with
     # l <= m are not read
     l = np.arange(l_max + 1)[:, None]
@@ -274,4 +273,4 @@ def normalized_ferrers_table(ms, l_max: int, eta):
         b = min(l - m0, n)  # rows with m < l
         i = l - m0
         out[:b, i + 1] = A[l, :b] * eta * out[:b, i] - B[l, :b] * out[:b, i - 1]
-    return out
+    return out[:, : l_max + 1 - m0]

@@ -95,7 +95,14 @@ def _layout(ms: range, l_max: int):
     sector: sector ms[k]'s matrix, l = max(1, m)..l_max, has order s[k]
     and its entries in row-major order at o[k]:o[k+1], and a vector over
     its l lies at r[k]:r[k+1].  Over the block's l = max(1, ms.start)..l_max,
-    valid[k, i] says whether the i-th l is one of sector ms[k]'s."""
+    valid[k, i] says whether the i-th l is one of sector ms[k]'s.
+
+    Packed, as measured against the alternatives: a padded (n, R, R)
+    stack of the sectors grows fig1's shared D to 1.47 MiB, past the 1 MiB
+    that test_fig1_holds_under_one_mib allows; one array per sector raised
+    figures' peak RSS from 84.59 to 84.80 MiB (medians of 6 alternating
+    pairs); and assembling H sector by sector took 1.5-2x as long per rung
+    at l_max <= 30."""
     s = l_max + 1 - np.maximum(np.arange(ms.start, ms.stop), 1)
     valid = np.arange(s[0]) >= (s[0] - s)[:, None]
     return s, np.cumsum([0, *s * s]), np.cumsum([0, *s]), valid
@@ -218,8 +225,7 @@ def _sphere_coupling(a: float, d: float, m: int, l_max: int) -> np.ndarray:
     the alternating-signs translation matrix only by a diag(+-1)
     similarity, which leaves all observables unchanged.
     """
-    l_min = max(1, m)
-    ls = np.arange(l_min, l_max + 1)
+    ls = np.arange(max(1, m), l_max + 1)
     log_ratio = math.log(a / (2.0 * d))
     lf = log_factorials(2 * l_max + 1)
     half = np.array(
@@ -366,14 +372,11 @@ _shared_D: dict = {}
 def _coupling(particle: PlacedParticle, ms: range, l_max: int):
     """(ms', D) of a coupling block that starts at sector ms.start: the
     one kept for the sweep, or a new build of the sectors ms."""
-    kept = _shared_D.get(particle) if _shared_D else None
-    if kept is not None and (ms.start, l_max) in kept:
-        return kept[ms.start, l_max]
-    build = _sphere_block if particle.spheroid.family is Family.SPHERE else _spheroid_coupling
-    block = build(particle, ms, l_max)
-    if kept is not None:
-        kept[ms.start, l_max] = block
-    return block
+    kept = _shared_D.get(particle, {})  # a throwaway outside a sweep
+    if (ms.start, l_max) not in kept:
+        build = _sphere_block if particle.spheroid.family is Family.SPHERE else _spheroid_coupling
+        kept[ms.start, l_max] = build(particle, ms, l_max)
+    return kept[ms.start, l_max]
 
 
 def coupling_matrix_D(particle: PlacedParticle, m: int, l_max: int) -> np.ndarray:
@@ -418,15 +421,12 @@ def _sectors(config: SystemConfig, m: int, stop: int):
         # o[k] + (j - r[k]) (s[k] + 1)
         step = np.repeat(s + 1, s)
         diagonal = np.repeat(o[:-1] - r[:-1] * (s + 1), s) + np.arange(r[-1]) * step
-        if D is None:
-            H = np.zeros(o[-1])
-            H[diagonal] = n_iso
-        else:  # diag(n_iso) + f_c D, built in place: 0 + f_c D off the
-            # diagonal turns -0.0 into 0.0, and on it f_c D + 0.0 + n_iso
-            # is n_iso + f_c D
-            H = D * f_c
-            H += 0.0
-            H[diagonal] += n_iso
+        # diag(n_iso) + f_c D, built in place: 0 + f_c D off the diagonal
+        # turns -0.0 into 0.0, and on it f_c D + 0.0 + n_iso is
+        # n_iso + f_c D (with no D, 0.0 + n_iso is n_iso: no n_iso is -0.0)
+        H = np.zeros(o[-1]) if D is None else D * f_c
+        H += 0.0
+        H[diagonal] += n_iso
         for k in range(len(ms)):
             yield ms[k], isolated[r[k] : r[k + 1]], H[o[k] : o[k + 1]].reshape(s[k], s[k])
         m = ms.stop
@@ -439,7 +439,6 @@ class SectorModes:
     reads."""
 
     m: int
-    l_min: int
     isolated: np.ndarray  # ascending n_iso, the modes at infinite gap
     eigenvalues: np.ndarray  # ascending
 
@@ -506,14 +505,7 @@ def spectral_block(config: SystemConfig, m: int) -> SpectralBlock:
     ((_, isolated, H),) = _sectors(config, m, m + 1)
     H = H.copy()
     vals, vecs = eigendecompose(H)
-    return SpectralBlock(
-        m=m,
-        l_min=max(1, m),
-        H=H,
-        isolated=isolated,
-        eigenvalues=vals,
-        eigenvectors=vecs,
-    )
+    return SpectralBlock(m=m, H=H, isolated=isolated, eigenvalues=vals, eigenvectors=vecs)
 
 
 def mode_spectrum(config: SystemConfig) -> tuple:
@@ -533,5 +525,5 @@ def mode_spectrum(config: SystemConfig) -> tuple:
                 f"eigenvalue outside (0,1) in sector m={m}: "
                 f"min={lo:.6g}, max={hi:.6g}; increase l_max or the gap"
             )
-        sectors.append(SectorModes(m, max(1, m), isolated, vals))
+        sectors.append(SectorModes(m, isolated, vals))
     return tuple(sectors)

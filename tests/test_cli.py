@@ -429,6 +429,9 @@ class TestScenarios:
         fig1 = [f"fig1_eps_{tag}.csv" for tag in ("inf", "7p8", "3p12", "1p6")]
         expected = fig1 + ["fig2.csv", "fig3.csv", "fig4.csv"]
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(expected)
+        # the report names every file written, and no other
+        reported = [line.split(": wrote ")[1] for line in done.stdout.splitlines()]
+        assert sorted(reported) == sorted(str(tmp_path / name) for name in expected)
         for name in expected:
             _, _, rows = _read_rows(tmp_path / name)
             assert rows

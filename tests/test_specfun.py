@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from casimir_spectral.errors import SpecFunDomainError, SpecFunOverflowError
 from casimir_spectral.specfun import (
@@ -176,6 +176,31 @@ class TestBatchedTables:
         for m in (0, l_max // 2, l_max):
             single = normalized_ferrers_table(range(m, m + 1), l_max, eta)
             assert np.array_equal(full[m, m:], single[0]) and not full[m, :m].any()
+
+    # the Q continued fraction of a call at l_max + k starts k steps deeper
+    # than one at l_max; the rows l <= l_max come out bit for bit the same,
+    # which lets every order of a call run to the same depth
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.sampled_from([(prolate_radial_table, 1.0, -5.0), (oblate_radial_table, 0.0, -3.0)]),
+        st.integers(1, 120),
+        st.integers(1, 40),
+        st.data(),
+    )
+    def test_deeper_calls_nest_bit_for_bit(self, family, l_max, k, data):
+        table, offset, lowest = family
+        m0 = data.draw(st.integers(0, l_max))
+        ms = range(m0, data.draw(st.integers(m0, l_max)) + 1)
+        exponents = data.draw(st.lists(st.floats(lowest, 1.5), min_size=1, max_size=8))
+        coord = offset + 10.0 ** np.array(exponents)
+        try:
+            small = table(ms, l_max, coord)
+            large = table(ms, l_max + k, coord)
+        except (SpecFunDomainError, SpecFunOverflowError):
+            assume(False)
+        for t, t_large in zip(small, large):
+            rows = np.ascontiguousarray(t_large[:, : l_max + 1 - m0])
+            assert np.ascontiguousarray(t).tobytes() == rows.tobytes()
 
     def test_overflow_names_lowest_failing_order(self):
         # near x = 1 the tables of the higher orders fail at l_max = 150

@@ -254,7 +254,6 @@ class TestSpectralBlocks:
         assert [s.m for s in sectors] == list(range(13))
         for m, sector in enumerate(sectors):
             block = spectral_block(cfg, m)
-            assert sector.l_min == block.l_min
             assert sector.multiplicity == block.multiplicity
             assert np.array_equal(sector.eigenvalues, block.eigenvalues)
             assert np.array_equal(sector.isolated, block.isolated)
