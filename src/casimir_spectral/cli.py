@@ -273,7 +273,7 @@ def _run_ladder(run: RunConfig, spec: _Ladder) -> int:
             config, sample = row.config, row.sample
             record = dict(
                 label,
-                z_over_rmin=config.particle.gap / config.particle.spheroid.r_minor,
+                z_over_rmin=config.particle.z_over_rmin,
                 converged=False,
             )
             if sample is not None:
@@ -318,8 +318,7 @@ def _scenario_modes(run: RunConfig) -> int:
         for block in mode_spectrum(cfg)
         for i, n in enumerate(block.eigenvalues)
     ]
-    z_over_rmin = cfg.particle.gap / cfg.particle.spheroid.r_minor
-    preamble = {"f_c": cfg.f_c, "z_over_rmin": z_over_rmin}
+    preamble = {"f_c": cfg.f_c, "z_over_rmin": cfg.particle.z_over_rmin}
     _write_csv(run.csv_path, run, preamble, columns, records)
     return 0
 

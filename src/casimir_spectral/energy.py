@@ -48,7 +48,7 @@ def zero_point_energy(config: SystemConfig) -> EnergySample:
             for block in mode_spectrum(config)
         )
     return EnergySample(
-        z_over_rmin=config.particle.gap / config.particle.spheroid.r_minor,
+        z_over_rmin=config.particle.z_over_rmin,
         xi=xi,
         l_max_used=config.l_max,
         converged=False,
@@ -92,7 +92,7 @@ def convergence_ladder(
     raise ConvergenceError(
         f"energy not converged to {tolerance:g} at l_max {history[-1][0]}, the last "
         f"rung within the cap {l_cap} "
-        f"(z/r_min = {config.particle.gap / config.particle.spheroid.r_minor:.4g})",
+        f"(z/r_min = {config.particle.z_over_rmin:.4g})",
         diagnostics={"history": history},
     )
 

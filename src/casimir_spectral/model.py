@@ -91,9 +91,6 @@ class Spheroid:
             return self.r_minor**2 / self.r_major
         return self.r_major
 
-    def scaled(self, factor: float) -> "Spheroid":
-        return Spheroid(self.r_major * factor, self.r_minor * factor, self.family)
-
 
 def spheroid_xi0(spheroid: Spheroid) -> float:
     """Radial spheroidal coordinate of the surface.
@@ -125,8 +122,10 @@ class PlacedParticle:
     def center_height(self) -> float:
         return self.gap + self.spheroid.r_perp
 
-    def scaled(self, factor: float) -> "PlacedParticle":
-        return PlacedParticle(self.spheroid.scaled(factor), self.gap * factor)
+    @property
+    def z_over_rmin(self) -> float:
+        """The gap in units of the minor semi-axis, the sweep coordinate."""
+        return self.gap / self.spheroid.r_minor
 
 
 @dataclass(frozen=True)
@@ -191,4 +190,6 @@ class SystemConfig:
         return replace(self, l_max=l_max)
 
     def scaled(self, factor: float) -> "SystemConfig":
-        return replace(self, particle=self.particle.scaled(factor))
+        s = self.particle.spheroid
+        spheroid = Spheroid(s.r_major * factor, s.r_minor * factor, s.family)
+        return replace(self, particle=PlacedParticle(spheroid, self.particle.gap * factor))

@@ -19,11 +19,14 @@ would diverge.
 The unit of work is a block of consecutive sectors, which _sectors alone
 sizes: one pass over a block gives every D, check and H of the block,
 each block holding its sectors' matrices, l = max(1, m)..l_max, packed
-one after another (_layout).  A call for one sector (spectral_block,
-coupling_matrix_D) is a block of that sector.  Only the projection
-integral and the eigensolve run per sector, each at its sector's own
-shape, and a sector that fails a check raises in its turn, so no output
-depends on where a block starts or ends.
+one after another (_layout).  A block reads its sectors' surface rows
+(n_iso, the weight amplitudes and nP at xi0, which depend on the spheroid
+alone) once, from _surface_block, the one reader of the held surface
+block, and the D build takes them from its caller.  A call for one
+sector (spectral_block, coupling_matrix_D) is a block of that sector.
+Only the projection integral and the eigensolve run per sector, each at
+its sector's own shape, and a sector that fails a check raises in its
+turn, so no output depends on where a block starts or ends.
 
 Basis amplitudes are normalized so that H is symmetric; observables
 (eigenvalues, strengths, energies) are invariant under that gauge.
@@ -108,15 +111,6 @@ def _layout(ms: range, l_max: int):
     return s, np.cumsum([0, *s * s]), np.cumsum([0, *s]), valid
 
 
-@lru_cache(maxsize=1)
-def _held(spheroid: Spheroid) -> dict:
-    """The tables kept for the last spheroid asked for: "surface", (key,
-    ms, tables) of one surface block of rung l_max = key, the only
-    tables that outlive a call.  A new spheroid's empty dict replaces the
-    old one before any of its tables is built."""
-    return {}
-
-
 @lru_cache(maxsize=None)
 def _quad_nodes(n_quad: int):
     """Read-only Gauss-Legendre nodes and weights of degree n_quad."""
@@ -133,20 +127,23 @@ def _read_only(*tables):
 
 # A ladder climbs the rungs l_max = 5, 10, ..., l_cap, and every gap point
 # of a sweep over one spheroid climbs the same rungs.  Rows l <= L of the
-# surface tables built at l_max >= L are those built at L, so _held keeps
-# one block, the one built last: a ladder's largest rung so far (0.92 MiB
-# at l_cap = 200), whose rows every rung below it reads; another
-# spheroid's points drop the block.
+# surface tables built at l_max >= L are those built at L, so one block is
+# held, (spheroid, l_max, ms, tables) of the one built last: a ladder's
+# largest rung so far (0.92 MiB at l_cap = 200), whose rows every rung
+# below it reads; another spheroid's points drop the block.  These are the
+# only tables that outlive a call, and _surface_block alone reads them.
+_held = None
+
+
 def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
-    """Read-only n_iso, signed weight amplitudes w = sign(c) sqrt|c| of the
-    normalization weights c and nP at the surface xi0 of a spheroid,
-    l = 0..l_max, for the sectors from start up to l_max, from one
-    one-point radial call of P and Q; they serve
-    isolated_depolarization_table, _spheroid_coupling and _sectors.
-    dnP/dxi, read here alone, follows from nP as in the kernel's Wronskian
-    anchor, w0 nP'_l = l x0 nP_l - sigma s_l nP_{l-1} with
-    w0 = x0^2 - sigma and s_l = sqrt(l^2 - m^2), which is m x0 nP_m / w0 at
-    l = m.  A sphere's one table is n_iso = l / (2l + 1)."""
+    """(ms, tables): read-only n_iso, signed weight amplitudes
+    w = sign(c) sqrt|c| of the normalization weights c and nP at the
+    surface xi0 of a spheroid, l = 0..l_max, for the sectors ms from start
+    up to l_max, from one one-point radial call of P and Q; _surface_block
+    holds them.  dnP/dxi, read here alone, follows from nP as in the
+    kernel's Wronskian anchor, w0 nP'_l = l x0 nP_l - sigma s_l nP_{l-1}
+    with w0 = x0^2 - sigma and s_l = sqrt(l^2 - m^2), which is
+    m x0 nP_m / w0 at l = m.  A sphere's one table is n_iso = l / (2l + 1)."""
     if spheroid.family is Family.SPHERE:
         l = np.arange(l_max + 1.0)
         orders = np.arange(start, l_max + 1)[:, None]
@@ -183,15 +180,21 @@ def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
     return ms, _read_only(n_iso, w, nP)
 
 
-def _surface_block(spheroid: Spheroid, m: int, l_max: int):
-    """(ms, (n_iso, w, nP0)) of the held surface block if it holds rung
-    l_max and sector m, else of a new block of this rung from m, held in
-    its place once built.  Row ms[k] of each table holds l = 0..key."""
-    held = _held(spheroid)
-    block = held.get("surface", (-1, range(0)))
-    if block[0] < l_max or m not in block[1]:
-        block = held["surface"] = (l_max, *_surface_tables(spheroid, l_max, m))
-    return block[1:]
+def _surface_block(spheroid: Spheroid, ms: range, l_max: int):
+    """(ms', rows): the leading part ms' of the sectors ms that the surface
+    block serves, and its tables (n_iso, w, nP0), or a sphere's (n_iso,),
+    at rows ms' and columns l = max(1, ms.start)..l_max; read from the held
+    block if it holds rung l_max and sector ms.start, else from a new block
+    of this rung from ms.start, held in its place once built."""
+    global _held
+    if _held is not None and _held[0] != spheroid:
+        _held = None  # dropped before the new spheroid's block is built
+    if _held is None or _held[1] < l_max or ms.start not in _held[2]:
+        _held = (spheroid, l_max, *_surface_tables(spheroid, l_max, ms.start))
+    served, tables = _held[2:]
+    i = ms.start - served.start
+    ms = range(ms.start, min(ms.stop, served.stop))
+    return ms, tuple(t[i : i + len(ms), max(1, ms.start) : l_max + 1] for t in tables)
 
 
 def _check_sector(m: int, l_max: int) -> None:
@@ -202,16 +205,16 @@ def _check_sector(m: int, l_max: int) -> None:
 
 
 def isolated_depolarization_table(spheroid: Spheroid, m: int, l_max: int) -> np.ndarray:
-    """Read-only n_lm(infinity) for l = m..l_max (entries below l=m are
-    zero)."""
+    """Read-only n_lm(infinity) for l = max(1, m)..l_max, the rows of
+    sector m's D and H."""
     _check_sector(m, l_max)
-    ms, (n_iso, *_) = _surface_block(spheroid, m, l_max)
-    return n_iso[m - ms.start, : l_max + 1]
+    _, (n_iso, *_) = _surface_block(spheroid, range(m, m + 1), l_max)
+    return n_iso[0]
 
 
 def isolated_depolarization(spheroid: Spheroid, l: int, m: int) -> float:
     """Depolarization factor of the isolated particle for multipole (l, m)."""
-    return float(isolated_depolarization_table(spheroid, m, l)[l])
+    return float(isolated_depolarization_table(spheroid, m, l)[l - max(1, m)])
 
 
 def _sphere_coupling(a: float, d: float, m: int, l_max: int) -> np.ndarray:
@@ -239,9 +242,9 @@ def _sphere_coupling(a: float, d: float, m: int, l_max: int) -> np.ndarray:
     ).reshape(exponent.shape)
 
 
-def _sphere_block(particle: PlacedParticle, ms: range, l_max: int):
+def _sphere_block(particle: PlacedParticle, ms: range, l_max: int, surface):
     """(ms, D) of the sectors ms for a sphere: D is read-only and packed
-    as _layout lays it out."""
+    as _layout lays it out.  The surface rows are not read."""
     o = _layout(ms, l_max)[1]
     D = np.empty(o[-1])
     for k, m in enumerate(ms):
@@ -301,22 +304,18 @@ def _passing(ms: range, failed: np.ndarray, message: str) -> range:
     return ms[:n]
 
 
-def _spheroid_coupling(particle: PlacedParticle, ms: range, l_max: int):
+def _spheroid_coupling(particle: PlacedParticle, ms: range, l_max: int, surface):
     """(ms', D) of the sectors ms by direct mirror projection, packed as by
-    _sphere_block.  ms' is the leading part of ms that ends before the
-    first sector that fails, in the order each sector meets them, its
-    surface tables, the sign of its weights, its mirror tables or the
-    symmetry of its D; a failure of sector ms.start raises here."""
-    start = ms.start
-    served, (_, w, nP0) = _surface_block(particle.spheroid, start, l_max)
-    ms = range(start, min(served.stop, ms.stop))
-    l0 = max(1, start)
-    rows = slice(start - served.start, start - served.start + len(ms))
-    w, nP0 = w[rows, l0 : l_max + 1], nP0[rows, l0 : l_max + 1]
+    _sphere_block, from the surface rows (n_iso, w, nP0) that
+    _surface_block gives for ms.  ms' is the leading part of ms that ends
+    before the first sector that fails, in the order each sector meets
+    them, the sign of its weights, its mirror tables or the symmetry of its
+    D; a failure of sector ms.start raises here."""
+    _, w, nP0 = surface
     s, _, _, valid = _layout(ms, l_max)
     R = s[0]  # the block is built as a stack whose D[k, a:, a:],
     # a = R - s[k], is sector ms[k]'s matrix
-    sign = np.where(np.arange(start, ms.stop) % 2, -1.0, 1.0)
+    sign = np.where(np.arange(ms.start, ms.stop) % 2, -1.0, 1.0)
     ms = _passing(
         ms,
         (valid & (sign[:, None] * w <= 0.0)).any(axis=1),
@@ -369,13 +368,13 @@ def _spheroid_coupling(particle: PlacedParticle, ms: range, l_max: int):
 _shared_D: dict = {}
 
 
-def _coupling(particle: PlacedParticle, ms: range, l_max: int):
+def _coupling(particle: PlacedParticle, ms: range, l_max: int, surface):
     """(ms', D) of a coupling block that starts at sector ms.start: the
-    one kept for the sweep, or a new build of the sectors ms."""
+    one kept for the sweep, or a new build from the sectors' surface rows."""
     kept = _shared_D.get(particle, {})  # a throwaway outside a sweep
     if (ms.start, l_max) not in kept:
         build = _sphere_block if particle.spheroid.family is Family.SPHERE else _spheroid_coupling
-        kept[ms.start, l_max] = build(particle, ms, l_max)
+        kept[ms.start, l_max] = build(particle, ms, l_max, surface)
     return kept[ms.start, l_max]
 
 
@@ -392,7 +391,8 @@ def coupling_matrix_D(particle: PlacedParticle, m: int, l_max: int) -> np.ndarra
     trace map wraps it by name.
     """
     _check_sector(m, l_max)
-    ms, D = _coupling(particle, range(m, m + 1), l_max)
+    ms, surface = _surface_block(particle.spheroid, range(m, m + 1), l_max)
+    ms, D = _coupling(particle, ms, l_max, surface)
     s, o, _, _ = _layout(ms, l_max)
     return D[: o[1]].reshape(s[0], s[0])
 
@@ -404,14 +404,11 @@ def _sectors(config: SystemConfig, m: int, stop: int):
     turn, when the sectors before it have been read."""
     particle, l_max, f_c = config.particle, config.l_max, config.f_c
     while m < stop:
-        ms = _block_orders(m, stop, l_max)
-        # a D block is built from the surface block: a failing n_iso
-        # raises there first
-        ms, D = _coupling(particle, ms, l_max) if f_c != 0.0 else (ms, None)
-        served, (n_iso, *_) = _surface_block(particle.spheroid, ms.start, l_max)
-        ms = range(ms.start, min(ms.stop, served.stop))
-        i = ms.start - served.start
-        n_iso = n_iso[i : i + len(ms), max(1, ms.start) : l_max + 1]
+        # the block's surface rows, read once: a failing n_iso raises
+        # here, before its D
+        ms, surface = _surface_block(particle.spheroid, _block_orders(m, stop, l_max), l_max)
+        ms, D = _coupling(particle, ms, l_max, surface) if f_c != 0.0 else (ms, None)
+        n_iso = surface[0][: len(ms)]
         s, o, r, valid = _layout(ms, l_max)
         # the rows outside a sector sort in front of its n_iso
         isolated = np.where(valid, n_iso, -np.inf)

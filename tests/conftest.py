@@ -12,7 +12,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 def fresh_spectral_state():
     """Every test starts from empty spectral caches, and a test that leaves
     a sweep's coupling blocks behind fails at its own teardown."""
-    spectral._held.cache_clear()
+    spectral._held = None
     spectral._quad_nodes.cache_clear()
     yield
     leaked = dict(spectral._shared_D)

@@ -242,15 +242,15 @@ class TestSharedCoupling:
         builds = []
         build = spectral._spheroid_coupling
 
-        def counted(particle, ms, l_max):
+        def counted(particle, ms, l_max, surface):
             builds.append((particle, ms, l_max))
-            return build(particle, ms, l_max)
+            return build(particle, ms, l_max, surface)
 
         monkeypatch.setattr(spectral, "_spheroid_coupling", counted)
         return builds
 
     def _cold_row(self, config):
-        spectral._held.cache_clear()
+        spectral._held = None
         try:
             return convergence_ladder(config, l_cap=self.L_CAP), None
         except CasimirSpectralError as exc:
@@ -273,6 +273,22 @@ class TestSharedCoupling:
         for config in self._configs(self.MEDIA[:1]):
             self._cold_row(config)
         assert len(swept) == len(builds)
+
+    def test_a_particle_is_dropped_after_its_last_config(self, monkeypatch):
+        # gaps outer, media inner: a particle's blocks are gone when the
+        # next particle's first ladder starts, not kept until the sweep
+        # returns
+        ladder = energy.convergence_ladder
+        kept = []
+
+        def recorded(config, **kwargs):
+            kept.append({particle.gap for particle in spectral._shared_D})
+            return ladder(config, **kwargs)
+
+        monkeypatch.setattr(energy, "convergence_ladder", recorded)
+        gaps, media = self.GAPS[1:], self.MEDIA[1:]
+        energy_sweep([_oblate_config(m, z) for z in gaps for m in media], l_cap=self.L_CAP)
+        assert kept == [{0.3}, {0.3}, {1.5}, {1.5}]
 
     def test_nothing_outlives_the_sweep(self):
         energy_sweep(self._configs(), l_cap=self.L_CAP)

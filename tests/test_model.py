@@ -70,7 +70,8 @@ class TestSpheroid:
     )
     def test_scaling_preserves_shape(self, aspect, r_minor, factor):
         s = Spheroid.prolate(aspect * r_minor, r_minor)
-        t = s.scaled(factor)
+        cfg = SystemConfig(PlacedParticle(s, gap=r_minor), Medium.constant(3.12))
+        t = cfg.scaled(factor).particle.spheroid
         assert t.r_major / t.r_minor == pytest.approx(s.r_major / s.r_minor)
         assert t.eccentricity == pytest.approx(s.eccentricity)
 
@@ -79,6 +80,8 @@ class TestPlacedParticle:
     def test_center_height(self):
         p = PlacedParticle(Spheroid.oblate(2.0, 1.0), gap=0.5)
         assert p.center_height == pytest.approx(1.5)
+        # the gap over r_minor, not over the normal semi-axis r_perp
+        assert PlacedParticle(Spheroid.prolate(2.0, 0.5), gap=0.25).z_over_rmin == 0.5
 
     def test_contact_rejected(self):
         with pytest.raises(ContactError):

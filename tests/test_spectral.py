@@ -95,9 +95,9 @@ class TestIsolatedDepolarization:
     def test_eigenvalue_range(self, aspect, family, m):
         ctor = Spheroid.prolate if family == "prolate" else Spheroid.oblate
         table = isolated_depolarization_table(ctor(aspect, 1.0), m, 12)
-        vals = table[max(m, 1):]
-        assert np.all(vals > 0.0)
-        assert np.all(vals < 1.0)
+        assert len(table) == 13 - max(m, 1)
+        assert np.all(table > 0.0)
+        assert np.all(table < 1.0)
 
 
 class TestCouplingMatrix:
@@ -272,6 +272,27 @@ class TestSpectralBlocks:
             tracemalloc.stop()
         assert peak < 4 * 2**20, peak / 2**20
 
+    def test_each_block_reads_its_surface_rows_once(self, monkeypatch):
+        # oblate 1.5 at l_max = 90 over a perfect conductor, 20 blocks: each
+        # block reads the held surface block once, and its D build reads
+        # the rows it is handed, not the held block
+        cfg = _config(Spheroid.oblate(1.5, 1.0), 0.05, Medium.perfect_conductor(), l_max=90)
+        calls = {"_surface_block": 0, "_spheroid_coupling": 0}
+
+        def counting(name):
+            original = getattr(spectral, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(spectral, name, wrapper)
+
+        counting("_surface_block")
+        counting("_spheroid_coupling")
+        assert len(mode_spectrum(cfg)) == 91
+        assert calls == {"_surface_block": 20, "_spheroid_coupling": 20}
+
     @pytest.mark.parametrize(
         "spheroid", [Spheroid.prolate(2.0, 1.0), Spheroid.oblate(1.4, 1.0)], ids=["prolate", "oblate"]
     )
@@ -284,7 +305,7 @@ class TestSpectralBlocks:
         assert spectral._block_orders(0, 13, 12) == range(13)
 
         def sector_H():
-            spectral._held.cache_clear()
+            spectral._held = None
             return [H.tobytes() for _, _, H in spectral._sectors(cfg, 0, 13)]
 
         blocked = sector_H()
@@ -292,7 +313,7 @@ class TestSpectralBlocks:
         assert sector_H() == blocked
         monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1)
         assert sector_H() == blocked
-        spectral._held.cache_clear()
+        spectral._held = None
         for m in (7, 3, 12, 0, 8):
             assert spectral_block(cfg, m).H.tobytes() == blocked[m]
 
@@ -306,18 +327,18 @@ class TestSpectralBlocks:
         build = spectral._spheroid_coupling
         blocks = []
 
-        def counted(particle, ms, l_max):
+        def counted(particle, ms, l_max, surface):
             blocks[-1] += 1
-            return build(particle, ms, l_max)
+            return build(particle, ms, l_max, surface)
 
         monkeypatch.setattr(spectral, "_spheroid_coupling", counted)
         runs = []
         for cells in (1, spectral._BLOCK_CELLS, 1 << 30):
             monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
             blocks.append(0)
-            spectral._held.cache_clear()
+            spectral._held = None
             sectors = mode_spectrum(cfg)
-            spectral._held.cache_clear()
+            spectral._held = None
             xi = zero_point_energy(cfg).xi
             spectrum = b"".join(s.eigenvalues.tobytes() + s.isolated.tobytes() for s in sectors)
             runs.append((spectrum, xi.hex()))
@@ -382,8 +403,8 @@ class TestSpectralBlocks:
                 built.append(all(ref() is None for ref in blocks))
             return radial(ms, l_max, x, **kwargs)
 
-        def coupling(particle, ms, l_max):
-            block = build(particle, ms, l_max)
+        def coupling(particle, ms, l_max, surface):
+            block = build(particle, ms, l_max, surface)
             assert block[0] == ms == range(ms.start, ms.start + 1)
             blocks.append(weakref.ref(block[1]))
             return block
@@ -404,7 +425,7 @@ class TestSpectralBlocks:
         # next sector builds its own
         cfg = _config(Spheroid.prolate(2.0, 1.0), 0.3, Medium.constant(3.12), l_max=6)
         expected = spectral_block(cfg, 2).H
-        spectral._held.cache_clear()
+        spectral._held = None
         original = spectral._mirror_tables
 
         def failing(particle, l_max, ms):
@@ -425,10 +446,10 @@ class TestSpectralBlocks:
         refs = []
         for l_max in (5, 10, 5):
             n_iso = isolated_depolarization_table(prolate, 0, l_max)
-            assert len(n_iso) == l_max + 1
-            refs.append(weakref.ref(spectral._held(prolate)["surface"][2][0]))
+            assert len(n_iso) == l_max  # l = 1..l_max
+            refs.append(weakref.ref(spectral._held[3][0]))
             del n_iso
-        assert spectral._held(prolate)["surface"][0] == 10
+        assert spectral._held[:2] == (prolate, 10)
         assert refs[0]() is None and refs[1]() is refs[2]() is not None
         original = spectral.oblate_radial_table
         dropped = []
@@ -460,7 +481,7 @@ class TestSpectralBlocks:
                 isolated_depolarization_table(spheroid, 0, l_max)
         assert surface == list(rungs)
         # each table owns its memory or views a distinct array
-        _, _, tables = spectral._held(spheroid)["surface"]
+        tables = spectral._held[3]
         assert sum((t if t.base is None else t.base).nbytes for t in tables) <= 1 << 20
 
     @pytest.mark.parametrize("ctor", [Spheroid.prolate, Spheroid.oblate], ids=["prolate", "oblate"])
@@ -557,12 +578,12 @@ class TestSpectralBlocks:
 
         monkeypatch.setattr(spectral, "oblate_radial_table", radial)
         isolated_depolarization(spheroid, 90, 45)
-        assert spectral._held(spheroid)["surface"][:2] == (90, range(45, 91))
+        assert spectral._held[:3] == (spheroid, 90, range(45, 91))
         for gap in (0.5, 0.8):
             for l_max in (5, 10):
                 mode_spectrum(_config(spheroid, gap, Medium.constant(3.12), l_max))
         assert sum(calls) == 3
-        assert spectral._held(spheroid)["surface"][:2] == (10, range(11))
+        assert spectral._held[:3] == (spheroid, 10, range(11))
 
     @pytest.mark.parametrize(
         "spheroid",
@@ -665,20 +686,23 @@ class TestSpectralBlocks:
         # of the one-sector builds
         cfg = _config(spheroid, 0.3, Medium.constant(3.12), l_max=12)
         assert spectral._block_orders(0, 13, 12) == range(13)
-        ms, D_block = spectral._spheroid_coupling(cfg.particle, range(13), cfg.l_max)
+        ms, surface = spectral._surface_block(spheroid, range(13), cfg.l_max)
+        ms, D_block = spectral._spheroid_coupling(cfg.particle, ms, cfg.l_max, surface)
         assert ms == range(13)
         _, o, _, _ = spectral._layout(ms, cfg.l_max)
         H_block = [H.tobytes() for _, _, H in spectral._sectors(cfg, 0, 13)]
         for m in range(cfg.l_max + 1):
             l_min = max(1, m)
-            ms, tables = spectral._surface_block(spheroid, m, cfg.l_max)
-            n_iso, w, nP0 = (t[m - ms.start, : cfg.l_max + 1] for t in tables)
+            ms, tables = spectral._surface_block(spheroid, range(m, m + 1), cfg.l_max)
+            assert ms == range(m, m + 1)
+            n_iso, w, nP0 = (t[0] for t in tables)  # l = max(1, m)..l_max
+            assert len(n_iso) == len(w) == len(nP0) == cfg.l_max + 1 - l_min
             _, psi, weighted = spectral._mirror_tables(cfg.particle, cfg.l_max, range(m, m + 1))
-            K = (weighted[0] @ psi[0].T) / nP0[l_min:, None]
-            w_amp = np.abs(w[l_min:])
+            K = (weighted[0] @ psi[0].T) / nP0[:, None]
+            w_amp = np.abs(w)
             D = (-1.0 if m % 2 else 1.0) * (w_amp[:, None] * K * w_amp[None, :])
             D = 0.5 * (D + D.T)
-            H = np.diag(n_iso[l_min:]) + cfg.f_c * D
+            H = np.diag(n_iso) + cfg.f_c * D
             assert D_block[o[m] : o[m + 1]].tobytes() == D.tobytes()
             assert H_block[m] == H.tobytes()
             assert coupling_matrix_D(cfg.particle, m, cfg.l_max).tobytes() == D.tobytes()
@@ -756,7 +780,7 @@ class TestCacheWarmth:
 
         def clear():
             spectral._quad_nodes.cache_clear()
-            spectral._held.cache_clear()
+            spectral._held = None
 
         warm = [repr(row) for row in energy_sweep(configs, l_cap=40)]
         cold = []
