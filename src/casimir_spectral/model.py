@@ -188,8 +188,3 @@ class SystemConfig:
 
     def with_l_max(self, l_max: int) -> "SystemConfig":
         return replace(self, l_max=l_max)
-
-    def scaled(self, factor: float) -> "SystemConfig":
-        s = self.particle.spheroid
-        spheroid = Spheroid(s.r_major * factor, s.r_minor * factor, s.family)
-        return replace(self, particle=PlacedParticle(spheroid, self.particle.gap * factor))

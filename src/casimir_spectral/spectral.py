@@ -57,10 +57,14 @@ from .specfun import (
 )
 
 _SYM_TOL = 1e-9
-# cells (l, point) summed over the sectors of one block of mirror tables:
-# bounds the memory a block holds while keeping its l loops few (one block
-# is alive at a time)
-_BLOCK_CELLS = 1 << 16
+# cells (l, point) summed over the sectors of one block of mirror tables,
+# 2 MiB per float64 table stack: bounds the memory a block holds (one block
+# is alive at a time) while keeping its table calls few, each of which runs
+# the kernels' l loops of about l_max + 60 steps in Python.  At oblate 1.5,
+# z/r_min 0.05, l_max = 90 over a perfect conductor, zero_point_energy's
+# tracemalloc peak is 5.03 MiB, against 1.60 MiB at 1 << 16 cells, where
+# the rung took 20 blocks instead of 5
+_BLOCK_CELLS = 1 << 18
 
 
 # continuation sign of each spheroidal family: w = x^2 - sigma
@@ -88,7 +92,10 @@ def _radial_rows(sigma: float, ms: range, l_max: int, coord, where: str):
 def _block_orders(start: int, stop: int, l_max: int) -> range:
     """The sectors of one block from start, below stop: as many as fit
     _BLOCK_CELLS, each charged for its mirror tables, rows
-    l = start..l_max + 1 over the 2 l_max + 64 quadrature nodes."""
+    l = start..l_max + 1 over the 2 l_max + 64 quadrature nodes.  Each
+    table stack of the block (the mirror points' P and Q, the two Ferrers
+    tables) then holds at most 2 MiB of float64, unless one sector alone
+    is larger than the budget and makes a block of its own."""
     per_block = max(1, _BLOCK_CELLS // ((l_max + 2 - start) * (2 * l_max + 64)))
     return range(start, min(start + per_block, stop))
 

@@ -39,6 +39,8 @@ from casimir_spectral.spectral import (
     spectral_block,
 )
 
+from scaling import scaled_config
+
 
 @pytest.fixture
 def report(capsys, request):
@@ -324,7 +326,7 @@ def test_09_eigensystem_properties(report):
         )
         if i % 10 == 0:
             xi = zero_point_energy(cfg).xi
-            xi_scaled = zero_point_energy(cfg.scaled(rng.uniform(0.1, 10.0))).xi
+            xi_scaled = zero_point_energy(scaled_config(cfg, rng.uniform(0.1, 10.0))).xi
             if xi != 0.0:
                 worst_scale = max(worst_scale, abs(xi_scaled / xi - 1.0))
     assert worst_orth <= 1e-10

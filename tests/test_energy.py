@@ -21,6 +21,8 @@ from casimir_spectral.model import (
     SystemConfig,
 )
 
+from scaling import scaled_config
+
 
 def _sphere_config(gap, substrate=None, l_max=30):
     return SystemConfig(
@@ -58,7 +60,7 @@ class TestZeroPointEnergy:
             l_max=20,
         )
         xi = zero_point_energy(cfg).xi
-        xi_scaled = zero_point_energy(cfg.scaled(7.3)).xi
+        xi_scaled = zero_point_energy(scaled_config(cfg, 7.3)).xi
         assert xi_scaled == pytest.approx(xi, rel=1e-10)
 
     def test_blas_thread_count(self, src_env):

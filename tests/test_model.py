@@ -19,6 +19,8 @@ from casimir_spectral.model import (
     spheroid_xi0,
 )
 
+from scaling import scaled_config
+
 
 class TestSpheroid:
     def test_sphere_constructor(self):
@@ -71,7 +73,7 @@ class TestSpheroid:
     def test_scaling_preserves_shape(self, aspect, r_minor, factor):
         s = Spheroid.prolate(aspect * r_minor, r_minor)
         cfg = SystemConfig(PlacedParticle(s, gap=r_minor), Medium.constant(3.12))
-        t = cfg.scaled(factor).particle.spheroid
+        t = scaled_config(cfg, factor).particle.spheroid
         assert t.r_major / t.r_minor == pytest.approx(s.r_major / s.r_minor)
         assert t.eccentricity == pytest.approx(s.eccentricity)
 
@@ -143,6 +145,6 @@ class TestSystemConfig:
             particle=PlacedParticle(Spheroid.prolate(2.0, 1.0), gap=0.5),
             substrate_medium=Medium.constant(3.12),
         )
-        scaled = cfg.scaled(10.0)
+        scaled = scaled_config(cfg, 10.0)
         assert scaled.particle.gap == pytest.approx(5.0)
         assert scaled.f_c == cfg.f_c

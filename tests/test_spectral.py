@@ -42,6 +42,16 @@ def _config(spheroid, gap, substrate, l_max=20):
     )
 
 
+def _energy_peak_mib(cfg):
+    """The tracemalloc peak of zero_point_energy(cfg), in MiB."""
+    tracemalloc.start()
+    try:
+        zero_point_energy(cfg)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 class TestIsolatedDepolarization:
     def test_sphere_closed_form(self):
         sphere = Spheroid.sphere(1.0)
@@ -258,24 +268,31 @@ class TestSpectralBlocks:
             assert np.array_equal(sector.eigenvalues, block.eigenvalues)
             assert np.array_equal(sector.isolated, block.isolated)
 
-    def test_mode_spectrum_keeps_no_vectors(self):
-        # oblate 1.5 at z/r_min = 0.05 over a perfect conductor, l_max = 90:
-        # the bound lies between the 1.57 MiB peak of eigenvalues only,
-        # solved block by block, and the 7.06 MiB of every sector's H,
-        # vectors and strengths kept until the sum ends
+    def test_mode_spectrum_keeps_no_vectors(self, monkeypatch):
+        # oblate 1.5 at z/r_min = 0.05 over a perfect conductor, l_max = 90,
+        # in blocks of 1 << 16 cells: the bound lies between the 1.57 MiB
+        # peak of eigenvalues only, solved block by block, and the 7.06 MiB
+        # of every sector's H, vectors and strengths kept until the sum ends
+        monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1 << 16)
         cfg = _config(Spheroid.oblate(1.5, 1.0), 0.05, Medium.perfect_conductor(), l_max=90)
-        tracemalloc.start()
-        try:
-            zero_point_energy(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20, peak / 2**20
+        assert _energy_peak_mib(cfg) < 4
+
+    def test_default_block_budget(self, monkeypatch):
+        # the default blocks hold that rung's energy under 6 MiB (5.03 MiB
+        # measured, in 5 blocks), and a long rung of a flat oblate gives
+        # the same energy, bit for bit, in the default blocks and in blocks
+        # of 1 << 16 cells
+        cfg = _config(Spheroid.oblate(1.5, 1.0), 0.05, Medium.perfect_conductor(), l_max=90)
+        assert _energy_peak_mib(cfg) < 6
+        cfg = _config(Spheroid.oblate(10.0, 1.0), 0.2, Medium.constant(3.12), l_max=120)
+        xi = zero_point_energy(cfg).xi.hex()
+        monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1 << 16)
+        assert zero_point_energy(cfg).xi.hex() == xi
 
     def test_each_block_reads_its_surface_rows_once(self, monkeypatch):
-        # oblate 1.5 at l_max = 90 over a perfect conductor, 20 blocks: each
-        # block reads the held surface block once, and its D build reads
-        # the rows it is handed, not the held block
+        # oblate 1.5 at l_max = 90 over a perfect conductor: each block
+        # reads the held surface block once, and its D build reads the
+        # rows it is handed, not the held block
         cfg = _config(Spheroid.oblate(1.5, 1.0), 0.05, Medium.perfect_conductor(), l_max=90)
         calls = {"_surface_block": 0, "_spheroid_coupling": 0}
 
@@ -291,7 +308,10 @@ class TestSpectralBlocks:
         counting("_surface_block")
         counting("_spheroid_coupling")
         assert len(mode_spectrum(cfg)) == 91
-        assert calls == {"_surface_block": 20, "_spheroid_coupling": 20}
+        blocks = [spectral._block_orders(0, 91, 90)]
+        while blocks[-1].stop < 91:
+            blocks.append(spectral._block_orders(blocks[-1].stop, 91, 90))
+        assert calls == {"_surface_block": len(blocks), "_spheroid_coupling": len(blocks)}
 
     @pytest.mark.parametrize(
         "spheroid", [Spheroid.prolate(2.0, 1.0), Spheroid.oblate(1.4, 1.0)], ids=["prolate", "oblate"]
@@ -321,9 +341,10 @@ class TestSpectralBlocks:
         "spheroid", [Spheroid.prolate(2.0, 1.0), Spheroid.oblate(1.5, 1.0)], ids=["prolate", "oblate"]
     )
     def test_block_boundaries_move_no_bit(self, monkeypatch, spheroid):
-        # one sector per block, the default blocks, and one block for the
-        # whole rung give the same spectrum and energy, bit for bit
-        cfg = _config(spheroid, 0.05 * spheroid.r_minor, Medium.perfect_conductor(), l_max=40)
+        # one sector per block, the default blocks (3 at l_max = 60), and
+        # one block for the whole rung give the same spectrum and energy,
+        # bit for bit
+        cfg = _config(spheroid, 0.05 * spheroid.r_minor, Medium.perfect_conductor(), l_max=60)
         build = spectral._spheroid_coupling
         blocks = []
 
@@ -343,7 +364,7 @@ class TestSpectralBlocks:
             spectrum = b"".join(s.eigenvalues.tobytes() + s.isolated.tobytes() for s in sectors)
             runs.append((spectrum, xi.hex()))
         assert runs[0] == runs[1] == runs[2]
-        assert blocks[0] == 2 * 41 and blocks[2] == 2 and 2 < blocks[1] < 2 * 41
+        assert blocks[0] == 2 * 61 and blocks[2] == 2 and 2 < blocks[1] < 2 * 61
 
     @pytest.mark.parametrize("cells", [1, 1 << 16], ids=["one_sector", "one_block"])
     @pytest.mark.parametrize("check", ["sign", "symmetry"])
