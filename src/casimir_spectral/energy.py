@@ -44,7 +44,7 @@ def zero_point_energy(config: SystemConfig) -> EnergySample:
     if config.f_c != 0.0:
         xi = 0.5 * sum(
             block.multiplicity
-            * float(np.sum(np.sqrt(block.eigenvalues) - np.sqrt(block.isolated)))
+            * float((np.sqrt(block.eigenvalues) - np.sqrt(block.isolated)).sum())
             for block in mode_spectrum(config)
         )
     return EnergySample(
@@ -141,11 +141,16 @@ def energy_sweep(
     and read by the ladders of those configs.  A particle's D are dropped
     after its last config, and all of them when the sweep returns or
     raises: 0.67 MiB at most on fig1's default grid, and up to about
-    10 MiB per repeated particle whose ladder climbs to l_cap = 90.
+    10 MiB per repeated particle whose ladder climbs to l_cap = 90.  The
+    Gauss-weighted Ferrers table of each block, which depends on the rung
+    and the block's sectors alone, is kept likewise for every later gap
+    and spheroid, within spectral._BLOCK_CELLS cells in all (2 MiB), and
+    dropped when the sweep returns or raises.
     """
     configs = list(configs)
     last = {config.particle: i for i, config in enumerate(configs)}
     rows = []
+    spectral._shared_weighted = {}
     try:
         for i, config in enumerate(configs):
             if last[config.particle] > i:
@@ -160,4 +165,5 @@ def energy_sweep(
             rows.append(SweepRow(config, sample, error))
     finally:
         spectral._shared_D.clear()
+        spectral._shared_weighted = None
     return rows

@@ -63,7 +63,9 @@ _SYM_TOL = 1e-9
 # the kernels' l loops of about l_max + 60 steps in Python.  At oblate 1.5,
 # z/r_min 0.05, l_max = 90 over a perfect conductor, zero_point_energy's
 # tracemalloc peak is 5.03 MiB, against 1.60 MiB at 1 << 16 cells, where
-# the rung took 20 blocks instead of 5
+# the rung took 20 blocks instead of 5.  It also bounds the weighted Ferrers
+# tables an energy_sweep keeps (_shared_weighted): all of them together
+# hold at most this many cells
 _BLOCK_CELLS = 1 << 18
 
 
@@ -296,10 +298,32 @@ def _mirror_tables(particle: PlacedParticle, l_max: int, ms: range):
     psi = normalized_ferrers_table(ms, l_max, eta_m)
     psi *= nQ_m
     del nQ_m  # free the Q tables before the next Ferrers table is built
-    weighted = normalized_ferrers_table(ms, l_max, eta)
-    weighted *= gw
+    weighted = _weighted_ferrers(ms, l_max, eta, gw)
     skip = max(1, ms.start) - ms.start  # row l = 0, which no sector reads
     return ms, psi[:, skip:], weighted[:, skip:]
+
+
+# The Gauss-weighted Ferrers table Pbar(eta) gw of a block depends on its
+# sectors ms and its rung l_max alone, not on the particle or the gap:
+# while energy_sweep runs, this is a dict, and every such table built is
+# kept in it, read-only, under (ms, l_max), as long as the kept tables
+# together hold at most _BLOCK_CELLS cells (on the figure grids, the
+# one-block rungs 5-25, 1.3 MiB).  Outside a sweep it is None and nothing
+# is kept; the sweep resets it when it returns or raises.
+_shared_weighted = None
+
+
+def _weighted_ferrers(ms: range, l_max: int, eta, gw):
+    """Pbar(eta) gw of the sectors ms at rung l_max: the one kept for the
+    sweep, or a new build, kept if it fits the sweep's budget."""
+    kept = _shared_weighted
+    if kept is not None and (ms, l_max) in kept:
+        return kept[ms, l_max]
+    weighted = normalized_ferrers_table(ms, l_max, eta)
+    weighted *= gw
+    if kept is not None and weighted.size + sum(t.size for t in kept.values()) <= _BLOCK_CELLS:
+        kept[ms, l_max] = _read_only(weighted)[0]
+    return weighted
 
 
 def _passing(ms: range, failed: np.ndarray, message: str) -> range:
@@ -471,11 +495,9 @@ def eigendecompose(H: np.ndarray):
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ContractViolationError("H must be a square matrix")
-    scale = np.max(np.abs(H))
+    scale = np.abs(H).max()
     # NaN fails both comparisons, an inf entry the first
-    if not (
-        scale < math.inf and np.max(np.abs(H - H.T)) <= _SYM_TOL * max(scale, 1e-300)
-    ):
+    if not (scale < math.inf and np.abs(H - H.T).max() <= _SYM_TOL * max(scale, 1e-300)):
         raise ContractViolationError("H is not finite and symmetric within tolerance")
     # LAPACK's dsyevr with the arguments and workspace scipy.linalg.eigh
     # gives it, without eigh's per-call argument handling; it reads the

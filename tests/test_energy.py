@@ -332,3 +332,82 @@ class TestSharedCoupling:
         assert cli.main(["fig1", "--config", str(cfg), "--output", str(tmp_path / "f.csv")]) == 0
         assert 0 < peak <= 1 << 20
         assert spectral._shared_D == {}
+
+
+class TestSharedWeighted:
+    """energy_sweep keeps the Gauss-weighted Ferrers table of each block,
+    which depends on the rung and the block's sectors alone, for the later
+    gaps and spheroids of the sweep, within spectral._BLOCK_CELLS cells."""
+
+    L_CAP = 30
+
+    def _configs(self):
+        # oblate 1.4 at z/r_min 0.2 climbs to rung 30, past the rungs the
+        # budget holds; at 0.1 it fails at the cap
+        prolate = Spheroid.prolate(2.0, 1.0)
+        return [
+            _oblate_config(Medium(math.inf), 0.2),
+            _oblate_config(Medium(math.inf), 1.5),
+            SystemConfig(PlacedParticle(prolate, gap=0.5), Medium(3.12), l_max=30),
+            _oblate_config(Medium(3.12), 0.1),
+            _oblate_config(Medium(3.12), 1.5),
+        ]
+
+    @staticmethod
+    def _count_ferrers(monkeypatch):
+        calls = []
+        ferrers = spectral.normalized_ferrers_table
+
+        def counted(ms, l_max, eta):
+            calls.append((ms, l_max))
+            return ferrers(ms, l_max, eta)
+
+        monkeypatch.setattr(spectral, "normalized_ferrers_table", counted)
+        return calls
+
+    def test_rows_equal_lone_ladders(self, monkeypatch):
+        calls = self._count_ferrers(monkeypatch)
+        rows = energy_sweep(self._configs(), l_cap=self.L_CAP)
+        swept = len(calls)
+        assert rows[3].error and all(row.sample for i, row in enumerate(rows) if i != 3)
+        calls.clear()
+        for row in rows:
+            spectral._held = None
+            try:
+                sample, error = convergence_ladder(row.config, l_cap=self.L_CAP), None
+            except CasimirSpectralError as exc:
+                sample, error = None, str(exc)
+            assert row.error == error
+            if sample is not None:
+                assert row.sample.xi.hex() == sample.xi.hex()
+                assert row.sample.l_max_used == sample.l_max_used
+        # the lone ladders build every weighted table again
+        assert swept < len(calls)
+
+    def test_held_cells_stay_within_budget_and_go_with_a_raising_sweep(self, monkeypatch):
+        weighted = spectral._weighted_ferrers
+        ladder = energy.convergence_ladder
+        cells, held, built = [], [], set()
+
+        def measured(ms, l_max, eta, gw):
+            built.add((ms, l_max))
+            table = weighted(ms, l_max, eta, gw)
+            cells.append(sum(t.size for t in spectral._shared_weighted.values()))
+            return table
+
+        def last_raises(config, **kwargs):
+            if config is configs[-1]:
+                held.extend(spectral._shared_weighted.values())
+                raise RuntimeError("not a package error")
+            return ladder(config, **kwargs)
+
+        monkeypatch.setattr(spectral, "_weighted_ferrers", measured)
+        monkeypatch.setattr(energy, "convergence_ladder", last_raises)
+        configs = self._configs()
+        with pytest.raises(RuntimeError):
+            energy_sweep(configs, l_cap=self.L_CAP)
+        assert spectral._shared_weighted is None
+        assert 0 < max(cells) <= spectral._BLOCK_CELLS
+        # rung 30 did not fit beside rungs 5-25
+        assert held and len(held) < len(built)
+        assert not any(t.flags.writeable for t in held)

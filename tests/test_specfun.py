@@ -1,11 +1,13 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from casimir_spectral import specfun
 from casimir_spectral.errors import SpecFunDomainError, SpecFunOverflowError
 from casimir_spectral.specfun import (
     _lgam_int,
@@ -22,6 +24,13 @@ from mpmath_reference import OBLATE_POINTS, PROLATE_POINTS, load, mp_oblate, mp_
 # 40-digit mpmath values at every (m, coordinate, l) of the two tables,
 # written by tests/mpmath_reference.py
 REFERENCE = load()
+
+
+def _examples(share):
+    """Settings of a property test that runs share of the active Hypothesis
+    profile's examples: 100 * share by default, ten times that under
+    HYPOTHESIS_PROFILE=deep (tests/conftest.py)."""
+    return settings(max_examples=round(share * settings.default.max_examples), deadline=None)
 
 
 def _derivatives(P, Q, m, l, x, sigma):
@@ -94,7 +103,7 @@ class TestProlateRadial:
             assert nP[l - m, 0] == pytest.approx(refP, rel=1e-10)
             assert nQ[l - m, 0] == pytest.approx(refQ, rel=1e-10)
 
-    @settings(max_examples=60, deadline=None)
+    @_examples(0.6)
     @given(
         st.integers(0, 10),
         st.integers(0, 30),
@@ -180,7 +189,7 @@ class TestBatchedTables:
     # the Q continued fraction of a call at l_max + k starts k steps deeper
     # than one at l_max; the rows l <= l_max come out bit for bit the same,
     # which lets every order of a call run to the same depth
-    @settings(max_examples=50, deadline=None)
+    @_examples(0.5)
     @given(
         st.sampled_from([(prolate_radial_table, 1.0, -5.0), (oblate_radial_table, 0.0, -3.0)]),
         st.integers(1, 120),
@@ -201,6 +210,41 @@ class TestBatchedTables:
         for t, t_large in zip(small, large):
             rows = np.ascontiguousarray(t_large[:, : l_max + 1 - m0])
             assert np.ascontiguousarray(t).tobytes() == rows.tobytes()
+
+    # the Q continued fraction starts int(28/theta_min) + 10 steps above
+    # l_max + 1, its tail below exp(-56); twice as deep moves no bit at
+    # theta_min >= 0.05, and below that a few ulps at most (1.7e-15 was
+    # the largest of 993 random calls), where the 4000-step cap leaves the
+    # tail at exp(-42)
+    @_examples(0.5)
+    @given(
+        st.sampled_from(
+            [
+                (prolate_radial_table, np.arccosh, 1.0, -4.9),
+                (oblate_radial_table, np.arcsinh, 0.0, -2.3),
+            ]
+        ),
+        st.integers(1, 120),
+        st.data(),
+    )
+    def test_continued_fraction_depth_suffices(self, family, l_max, data):
+        table, theta, offset, lowest = family
+        m0 = data.draw(st.integers(0, l_max))
+        ms = range(m0, data.draw(st.integers(m0, l_max)) + 1)
+        exponents = data.draw(st.lists(st.floats(lowest, 1.0), min_size=1, max_size=8))
+        coord = offset + 10.0 ** np.array(exponents)
+        try:
+            tables = table(ms, l_max, coord)
+        except (SpecFunDomainError, SpecFunOverflowError):
+            assume(False)
+        depth = specfun._cf_extra_terms
+        with mock.patch.object(specfun, "_cf_extra_terms", lambda t: 2 * depth(t)):
+            P, Q = table(ms, l_max, coord)
+        assert tables[0].tobytes() == P.tobytes()  # P takes no fraction
+        if theta(coord).min() >= 0.05:
+            assert tables[1].tobytes() == Q.tobytes()
+        else:
+            assert np.all(np.abs(tables[1] - Q) <= 1e-14 * np.abs(Q))
 
     def test_overflow_names_lowest_failing_order(self):
         # near x = 1 the tables of the higher orders fail at l_max = 150
@@ -297,7 +341,7 @@ class TestOblateRadial:
             assert p[l - m, 0] == pytest.approx(refp, rel=1e-10)
             assert q[l - m, 0] == pytest.approx(refq, rel=1e-10)
 
-    @settings(max_examples=60, deadline=None)
+    @_examples(0.6)
     @given(
         st.integers(0, 8),
         st.integers(0, 25),
