@@ -38,14 +38,14 @@ class EnergySample:
     rel_change_last_step: float
 
 
-def zero_point_energy(config: SystemConfig) -> EnergySample:
+def zero_point_energy(config: SystemConfig, *, workspace=None) -> EnergySample:
     """Xi at fixed truncation order config.l_max."""
     xi = 0.0
     if config.f_c != 0.0:
         xi = 0.5 * sum(
             block.multiplicity
             * float((np.sqrt(block.eigenvalues) - np.sqrt(block.isolated)).sum())
-            for block in mode_spectrum(config)
+            for block in mode_spectrum(config, workspace=workspace)
         )
     return EnergySample(
         z_over_rmin=config.particle.z_over_rmin,
@@ -60,8 +60,12 @@ def convergence_ladder(
     config: SystemConfig,
     tolerance: float = DEFAULT_TOLERANCE,
     l_cap: int = DEFAULT_L_CAP,
+    *,
+    workspace=None,
 ) -> EnergySample:
     """Increase l_max until |delta Xi| / |Xi| <= tolerance.
+
+    The rungs share the spectral workspace given, or one of their own.
 
     Raises ConvergenceError when the cap is reached without meeting the
     tolerance (expected as the gap goes to zero).
@@ -71,10 +75,11 @@ def convergence_ladder(
     if not isinstance(l_cap, numbers.Integral) or l_cap < 2 * L_STEP:
         # the ladder compares two rungs
         raise ValueError(f"l_cap must be an integer >= {2 * L_STEP}")
+    workspace = workspace or spectral._Workspace()
     prev = None
     history = []
     for l in range(L_STEP, l_cap + 1, L_STEP):
-        sample = zero_point_energy(config.with_l_max(l))
+        sample = zero_point_energy(config.with_l_max(l), workspace=workspace)
         history.append((l, sample.xi))
         if prev is not None:
             denom = abs(sample.xi) if sample.xi != 0.0 else 1.0
@@ -135,35 +140,29 @@ def energy_sweep(
     recorded in its row and does not abort the sweep; any other exception
     propagates.
 
-    The coupling D of a particle depends on its geometry only, so every
-    block of D built for a particle that a later config repeats (the same
-    spheroid at the same gap over another substrate) is kept, read-only,
-    and read by the ladders of those configs.  A particle's D are dropped
-    after its last config, and all of them when the sweep returns or
-    raises: 0.67 MiB at most on fig1's default grid, and up to about
-    10 MiB per repeated particle whose ladder climbs to l_cap = 90.  The
-    Gauss-weighted Ferrers table of each block, which depends on the rung
-    and the block's sectors alone, is kept likewise for every later gap
-    and spheroid, within spectral._BLOCK_CELLS cells in all (2 MiB), and
-    dropped when the sweep returns or raises.
+    One spectral workspace serves every ladder of the sweep and goes when
+    it returns or raises.  It keeps the coupling D of each particle that a
+    later config repeats (the same spheroid at the same gap over another
+    substrate) until the particle's last config: 0.67 MiB at most on fig1's
+    default grid, and up to about 10 MiB per repeated particle whose ladder
+    climbs to l_cap = 90.  It keeps the weighted Ferrers tables for every
+    later gap and spheroid, within spectral._BLOCK_CELLS cells (2 MiB).
     """
     configs = list(configs)
     last = {config.particle: i for i, config in enumerate(configs)}
+    workspace = spectral._Workspace(weighted={})
     rows = []
-    spectral._shared_weighted = {}
-    try:
-        for i, config in enumerate(configs):
-            if last[config.particle] > i:
-                spectral._shared_D.setdefault(config.particle, {})
-            try:
-                sample = convergence_ladder(config, tolerance=tolerance, l_cap=l_cap)
-                error = None
-            except CasimirSpectralError as exc:  # recorded, not raised
-                sample, error = None, str(exc)
-            if last[config.particle] == i:
-                spectral._shared_D.pop(config.particle, None)
-            rows.append(SweepRow(config, sample, error))
-    finally:
-        spectral._shared_D.clear()
-        spectral._shared_weighted = None
+    for i, config in enumerate(configs):
+        if last[config.particle] > i:
+            workspace.D.setdefault(config.particle, {})
+        try:
+            sample = convergence_ladder(
+                config, tolerance=tolerance, l_cap=l_cap, workspace=workspace
+            )
+            error = None
+        except CasimirSpectralError as exc:  # recorded, not raised
+            sample, error = None, str(exc)
+        if last[config.particle] == i:
+            workspace.D.pop(config.particle, None)
+        rows.append(SweepRow(config, sample, error))
     return rows

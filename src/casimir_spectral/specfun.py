@@ -32,10 +32,8 @@ pass, and returns a stack holding only the rows l = m0..l_max of each
 order: no order of the range reads a row below m0.  One order m is
 range(m, m + 1).  Every order's working rows run to l_max + 1, the row
 l = m + 1 that the Wronskian anchor of m = l_max reads, so every order
-goes through the same loops; a continued fraction started deeper gives
-the same rows l <= l_max bit for bit, except where the cap of its depth
-binds (theta_min below about 0.007), whose tail is only below exp(-42):
-there a deeper start can move a last bit.
+goes through the same loops, and a continued fraction started deeper
+gives the same rows l <= l_max bit for bit.
 
 ln(n!) has one entry point, the read-only table :func:`log_factorials`,
 which the seeds of both kernels and the sphere coupling read.  Its entries
@@ -105,11 +103,13 @@ def _cf_extra_terms(theta_min: float) -> int:
     bit moved in 2 448 random table calls (both families, l_max 1-159,
     1-19 points, theta_min down to the cap); 21/theta + 10, whose tail is
     exp(-42), moved Q by up to 1.0e-15 relative in 9 of 1 224 at
-    theta_min <= 0.052.  Raises where _CF_CAP steps cannot reach exp(-42):
-    spheroids of aspect above coth(21/_CF_CAP) ~ 190."""
+    theta_min <= 0.052.  The depth is not capped, so a call one row deeper
+    nests bit for bit at every theta; it is at most 5 343 steps, since
+    this raises where _CF_CAP steps cannot reach exp(-42): spheroids of
+    aspect above coth(21/_CF_CAP) ~ 190."""
     if theta_min * _CF_CAP < 21.0:
         raise SpecFunDomainError(f"Q continued fraction cannot converge: theta={theta_min:.3g}")
-    return min(_CF_CAP, int(28.0 / theta_min) + 10)
+    return int(28.0 / theta_min) + 10
 
 
 def _seed_log_pmm(mv: np.ndarray, l_max: int) -> np.ndarray:

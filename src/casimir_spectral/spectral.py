@@ -21,12 +21,16 @@ sizes: one pass over a block gives every D, check and H of the block,
 each block holding its sectors' matrices, l = max(1, m)..l_max, packed
 one after another (_layout).  A block reads its sectors' surface rows
 (n_iso, the weight amplitudes and nP at xi0, which depend on the spheroid
-alone) once, from _surface_block, the one reader of the held surface
-block, and the D build takes them from its caller.  A call for one
-sector (spectral_block, coupling_matrix_D) is a block of that sector.
-Only the projection integral and the eigensolve run per sector, each at
-its sector's own shape, and a sector that fails a check raises in its
-turn, so no output depends on where a block starts or ends.
+alone) once, from _surface_block, and the D build takes them from its
+caller.  A call for one sector (spectral_block, coupling_matrix_D) is a
+block of that sector.  Only the projection integral and the eigensolve
+run per sector, each at its sector's own shape, and a sector that fails a
+check raises in its turn, so no output depends on where a block starts
+or ends.
+
+What outlives a block lives in a _Workspace: an energy_sweep's lives for
+the sweep, a lone ladder's for its rungs, and a call given none makes its
+own, so nothing outlives a public call.
 
 Basis amplitudes are normalized so that H is symmetric; observables
 (eigenvalues, strengths, energies) are invariant under that gauge.
@@ -35,7 +39,7 @@ Basis amplitudes are normalized so that H is symmetric; observables
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -64,8 +68,8 @@ _SYM_TOL = 1e-9
 # z/r_min 0.05, l_max = 90 over a perfect conductor, zero_point_energy's
 # tracemalloc peak is 5.03 MiB, against 1.60 MiB at 1 << 16 cells, where
 # the rung took 20 blocks instead of 5.  It also bounds the weighted Ferrers
-# tables an energy_sweep keeps (_shared_weighted): all of them together
-# hold at most this many cells
+# tables a sweep's _Workspace keeps: all of them together hold at most
+# this many cells
 _BLOCK_CELLS = 1 << 18
 
 
@@ -134,14 +138,31 @@ def _read_only(*tables):
     return tables
 
 
-# A ladder climbs the rungs l_max = 5, 10, ..., l_cap, and every gap point
-# of a sweep over one spheroid climbs the same rungs.  Rows l <= L of the
-# surface tables built at l_max >= L are those built at L, so one block is
-# held, (spheroid, l_max, ms, tables) of the one built last: a ladder's
-# largest rung so far (0.92 MiB at l_cap = 200), whose rows every rung
-# below it reads; another spheroid's points drop the block.  These are the
-# only tables that outlive a call, and _surface_block alone reads them.
-_held = None
+@dataclass
+class _Workspace:
+    """What outlives a block, for as long as the sweep, ladder or call that
+    made the workspace holds it.
+
+    held: (spheroid, l_max, ms, tables) of the surface block built last,
+    which _surface_block alone reads.  Rows l <= L of the surface tables
+    built at l_max >= L are those built at L, so the block of a ladder's
+    largest rung so far (0.92 MiB at l_cap = 200) serves every rung below
+    it, and the rungs of the later gaps of its spheroid.
+
+    D: {particle: {(m, l_max): (ms, D)}}, every coupling block built for a
+    listed particle, under its first sector m.  D does not depend on the
+    substrate, and every config of a particle asks for the same block
+    starts: a geometry failure cuts a block alike for every substrate, and
+    an UnphysicalModeError only ends one config's run of blocks early.
+
+    weighted: {(ms, l_max): Pbar(eta) gw}, which depends on neither the
+    particle nor the gap, each kept, read-only, while they together hold
+    at most _BLOCK_CELLS cells (rungs 5-25, 1.3 MiB, on the figure grids);
+    None keeps none."""
+
+    held: tuple | None = None
+    D: dict = field(default_factory=dict)
+    weighted: dict | None = None
 
 
 def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
@@ -189,18 +210,18 @@ def _surface_tables(spheroid: Spheroid, l_max: int, start: int):
     return ms, _read_only(n_iso, w, nP)
 
 
-def _surface_block(spheroid: Spheroid, ms: range, l_max: int):
+def _surface_block(workspace: _Workspace, spheroid: Spheroid, ms: range, l_max: int):
     """(ms', rows): the leading part ms' of the sectors ms that the surface
     block serves, and its tables (n_iso, w, nP0), or a sphere's (n_iso,),
     at rows ms' and columns l = max(1, ms.start)..l_max; read from the held
     block if it holds rung l_max and sector ms.start, else from a new block
-    of this rung from ms.start, held in its place once built."""
-    global _held
-    if _held is not None and _held[0] != spheroid:
-        _held = None  # dropped before the new spheroid's block is built
-    if _held is None or _held[1] < l_max or ms.start not in _held[2]:
-        _held = (spheroid, l_max, *_surface_tables(spheroid, l_max, ms.start))
-    served, tables = _held[2:]
+    of this rung from ms.start, held in the workspace once built."""
+    held = workspace.held
+    if held is not None and held[0] != spheroid:
+        held = workspace.held = None  # dropped before the new spheroid's block is built
+    if held is None or held[1] < l_max or ms.start not in held[2]:
+        held = workspace.held = (spheroid, l_max, *_surface_tables(spheroid, l_max, ms.start))
+    served, tables = held[2:]
     i = ms.start - served.start
     ms = range(ms.start, min(ms.stop, served.stop))
     return ms, tuple(t[i : i + len(ms), max(1, ms.start) : l_max + 1] for t in tables)
@@ -217,7 +238,7 @@ def isolated_depolarization_table(spheroid: Spheroid, m: int, l_max: int) -> np.
     """Read-only n_lm(infinity) for l = max(1, m)..l_max, the rows of
     sector m's D and H."""
     _check_sector(m, l_max)
-    _, (n_iso, *_) = _surface_block(spheroid, range(m, m + 1), l_max)
+    _, (n_iso, *_) = _surface_block(_Workspace(), spheroid, range(m, m + 1), l_max)
     return n_iso[0]
 
 
@@ -251,9 +272,9 @@ def _sphere_coupling(a: float, d: float, m: int, l_max: int) -> np.ndarray:
     ).reshape(exponent.shape)
 
 
-def _sphere_block(particle: PlacedParticle, ms: range, l_max: int, surface):
+def _sphere_block(workspace, particle: PlacedParticle, ms: range, l_max: int, surface):
     """(ms, D) of the sectors ms for a sphere: D is read-only and packed
-    as _layout lays it out.  The surface rows are not read."""
+    as _layout lays it out.  The workspace and surface rows are not read."""
     o = _layout(ms, l_max)[1]
     D = np.empty(o[-1])
     for k, m in enumerate(ms):
@@ -274,7 +295,7 @@ def _invert(rho, z, F, sigma):
     return xi, np.clip(eta, -1.0, 1.0)
 
 
-def _mirror_tables(particle: PlacedParticle, l_max: int, ms: range):
+def _mirror_tables(workspace: _Workspace, particle: PlacedParticle, l_max: int, ms: range):
     """What _spheroid_coupling needs of the sectors ms, or of their longest
     leading part whose tables build: the reflected harmonics
     psi = nQ(xi_m) Pbar(eta_m) at the mirror points (xi_m, eta_m) of the
@@ -298,25 +319,15 @@ def _mirror_tables(particle: PlacedParticle, l_max: int, ms: range):
     psi = normalized_ferrers_table(ms, l_max, eta_m)
     psi *= nQ_m
     del nQ_m  # free the Q tables before the next Ferrers table is built
-    weighted = _weighted_ferrers(ms, l_max, eta, gw)
+    weighted = _weighted_ferrers(workspace, ms, l_max, eta, gw)
     skip = max(1, ms.start) - ms.start  # row l = 0, which no sector reads
     return ms, psi[:, skip:], weighted[:, skip:]
 
 
-# The Gauss-weighted Ferrers table Pbar(eta) gw of a block depends on its
-# sectors ms and its rung l_max alone, not on the particle or the gap:
-# while energy_sweep runs, this is a dict, and every such table built is
-# kept in it, read-only, under (ms, l_max), as long as the kept tables
-# together hold at most _BLOCK_CELLS cells (on the figure grids, the
-# one-block rungs 5-25, 1.3 MiB).  Outside a sweep it is None and nothing
-# is kept; the sweep resets it when it returns or raises.
-_shared_weighted = None
-
-
-def _weighted_ferrers(ms: range, l_max: int, eta, gw):
-    """Pbar(eta) gw of the sectors ms at rung l_max: the one kept for the
-    sweep, or a new build, kept if it fits the sweep's budget."""
-    kept = _shared_weighted
+def _weighted_ferrers(workspace: _Workspace, ms: range, l_max: int, eta, gw):
+    """Pbar(eta) gw of the sectors ms at rung l_max: the one the workspace
+    keeps, or a new build, kept if it fits the workspace's budget."""
+    kept = workspace.weighted
     if kept is not None and (ms, l_max) in kept:
         return kept[ms, l_max]
     weighted = normalized_ferrers_table(ms, l_max, eta)
@@ -335,7 +346,7 @@ def _passing(ms: range, failed: np.ndarray, message: str) -> range:
     return ms[:n]
 
 
-def _spheroid_coupling(particle: PlacedParticle, ms: range, l_max: int, surface):
+def _spheroid_coupling(workspace, particle: PlacedParticle, ms: range, l_max: int, surface):
     """(ms', D) of the sectors ms by direct mirror projection, packed as by
     _sphere_block, from the surface rows (n_iso, w, nP0) that
     _surface_block gives for ms.  ms' is the leading part of ms that ends
@@ -352,7 +363,7 @@ def _spheroid_coupling(particle: PlacedParticle, ms: range, l_max: int, surface)
         (valid & (sign[:, None] * w <= 0.0)).any(axis=1),
         "unexpected sign pattern in spheroidal normalization weights",
     )
-    ms, psi, weighted = _mirror_tables(particle, l_max, ms)
+    ms, psi, weighted = _mirror_tables(workspace, particle, l_max, ms)
     n = len(ms)
     D = np.zeros((n, R, R))
     for k in range(n):
@@ -387,25 +398,13 @@ def _spheroid_coupling(particle: PlacedParticle, ms: range, l_max: int, surface)
     return ms, *_read_only(sym[: len(ms)][valid[:, :, None] & valid[:, None, :]])
 
 
-# D depends on the placed particle only, never on the substrate: while
-# energy_sweep evaluates configs that repeat a particle, it puts an entry
-# {} for the particle here, and every coupling block built for the
-# particle is kept in it once, under (m, l_max) of its first sector m.
-# Every config of a particle asks for the same block starts: a geometry
-# failure cuts a block alike for every substrate, and an
-# UnphysicalModeError only ends one config's run of blocks early.  The
-# sweep drops the entry after the particle's last config and empties this
-# on leaving.
-_shared_D: dict = {}
-
-
-def _coupling(particle: PlacedParticle, ms: range, l_max: int, surface):
+def _coupling(workspace: _Workspace, particle: PlacedParticle, ms: range, l_max: int, surface):
     """(ms', D) of a coupling block that starts at sector ms.start: the
-    one kept for the sweep, or a new build from the sectors' surface rows."""
-    kept = _shared_D.get(particle, {})  # a throwaway outside a sweep
+    one the workspace keeps, or a new build from the sectors' surface rows."""
+    kept = workspace.D.get(particle, {})  # a throwaway unless the particle is listed
     if (ms.start, l_max) not in kept:
         build = _sphere_block if particle.spheroid.family is Family.SPHERE else _spheroid_coupling
-        kept[ms.start, l_max] = build(particle, ms, l_max, surface)
+        kept[ms.start, l_max] = build(workspace, particle, ms, l_max, surface)
     return kept[ms.start, l_max]
 
 
@@ -422,13 +421,14 @@ def coupling_matrix_D(particle: PlacedParticle, m: int, l_max: int) -> np.ndarra
     trace map wraps it by name.
     """
     _check_sector(m, l_max)
-    ms, surface = _surface_block(particle.spheroid, range(m, m + 1), l_max)
-    ms, D = _coupling(particle, ms, l_max, surface)
+    workspace = _Workspace()
+    ms, surface = _surface_block(workspace, particle.spheroid, range(m, m + 1), l_max)
+    ms, D = _coupling(workspace, particle, ms, l_max, surface)
     s, o, _, _ = _layout(ms, l_max)
     return D[: o[1]].reshape(s[0], s[0])
 
 
-def _sectors(config: SystemConfig, m: int, stop: int):
+def _sectors(workspace: _Workspace, config: SystemConfig, m: int, stop: int):
     """(m, isolated, H) of the sectors m..stop-1 in turn: its ascending
     n_iso and H = diag(n_iso) + f_c D, built for a block of sectors at a
     time, the blocks sized here alone.  A failing sector raises in its
@@ -437,8 +437,9 @@ def _sectors(config: SystemConfig, m: int, stop: int):
     while m < stop:
         # the block's surface rows, read once: a failing n_iso raises
         # here, before its D
-        ms, surface = _surface_block(particle.spheroid, _block_orders(m, stop, l_max), l_max)
-        ms, D = _coupling(particle, ms, l_max, surface) if f_c != 0.0 else (ms, None)
+        orders = _block_orders(m, stop, l_max)
+        ms, surface = _surface_block(workspace, particle.spheroid, orders, l_max)
+        ms, D = _coupling(workspace, particle, ms, l_max, surface) if f_c != 0.0 else (ms, None)
         n_iso = surface[0][: len(ms)]
         s, o, r, valid = _layout(ms, l_max)
         # the rows outside a sector sort in front of its n_iso
@@ -528,20 +529,20 @@ def spectral_block(config: SystemConfig, m: int) -> SpectralBlock:
     many sectors, so read whole spectra from mode_spectrum.
     """
     _check_sector(m, config.l_max)
-    ((_, isolated, H),) = _sectors(config, m, m + 1)
+    ((_, isolated, H),) = _sectors(_Workspace(), config, m, m + 1)
     H = H.copy()
     vals, vecs = eigendecompose(H)
     return SpectralBlock(m=m, H=H, isolated=isolated, eigenvalues=vals, eigenvectors=vecs)
 
 
-def mode_spectrum(config: SystemConfig) -> tuple:
+def mode_spectrum(config: SystemConfig, *, workspace: _Workspace | None = None) -> tuple:
     """The SectorModes of every sector m = 0..l_max, in order of m.
 
     Each sector's eigenvectors are dropped as soon as they are computed: at
     l_max = 90 every sector's H and vectors would hold about 4 MiB until
     the last sector is solved."""
     sectors = []
-    for m, isolated, H in _sectors(config, 0, config.l_max + 1):
+    for m, isolated, H in _sectors(workspace or _Workspace(), config, 0, config.l_max + 1):
         vals = eigendecompose(H)[0]
         del H  # the last view of a block's H: freed before the next block
         lo = float(vals[0])

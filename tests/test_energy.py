@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -62,6 +63,22 @@ class TestZeroPointEnergy:
         xi = zero_point_energy(cfg).xi
         xi_scaled = zero_point_energy(scaled_config(cfg, 7.3)).xi
         assert xi_scaled == pytest.approx(xi, rel=1e-10)
+
+    @pytest.mark.parametrize("call", [zero_point_energy, convergence_ladder])
+    def test_nothing_outlives_a_lone_call(self, monkeypatch, call):
+        # the surface tables a call given no workspace builds are freed
+        # when it returns
+        build = spectral._surface_tables
+        refs = []
+
+        def recorded(*args):
+            ms, tables = build(*args)
+            refs.extend(map(weakref.ref, tables))
+            return ms, tables
+
+        monkeypatch.setattr(spectral, "_surface_tables", recorded)
+        call(_oblate_config(Medium(3.12), 0.5, l_max=10))
+        assert refs and all(ref() is None for ref in refs)
 
     def test_blas_thread_count(self, src_env):
         # Multi-threaded BLAS sums in another order, so the last bits of Xi
@@ -220,11 +237,14 @@ def _oblate_config(medium, z, l_max=30):
     )
 
 
-def _held_bytes():
-    # a kept coupling block is listed once, under its first sector; count
-    # the memory its stack owns
-    stacks = [D for kept in spectral._shared_D.values() for _, D in kept.values()]
-    return sum((D if D.base is None else D.base).nbytes for D in stacks)
+def _kept_D(workspace):
+    # a kept coupling block is listed once, under its first sector
+    return [D for kept in workspace.D.values() for _, D in kept.values()]
+
+
+def _held_bytes(workspace):
+    # the memory the stacks of the kept coupling blocks own
+    return sum((D if D.base is None else D.base).nbytes for D in _kept_D(workspace))
 
 
 class TestSharedCoupling:
@@ -244,15 +264,14 @@ class TestSharedCoupling:
         builds = []
         build = spectral._spheroid_coupling
 
-        def counted(particle, ms, l_max, surface):
+        def counted(workspace, particle, ms, l_max, surface):
             builds.append((particle, ms, l_max))
-            return build(particle, ms, l_max, surface)
+            return build(workspace, particle, ms, l_max, surface)
 
         monkeypatch.setattr(spectral, "_spheroid_coupling", counted)
         return builds
 
     def _cold_row(self, config):
-        spectral._held = None
         try:
             return convergence_ladder(config, l_cap=self.L_CAP), None
         except CasimirSpectralError as exc:
@@ -284,7 +303,7 @@ class TestSharedCoupling:
         kept = []
 
         def recorded(config, **kwargs):
-            kept.append({particle.gap for particle in spectral._shared_D})
+            kept.append({particle.gap for particle in kwargs["workspace"].D})
             return ladder(config, **kwargs)
 
         monkeypatch.setattr(energy, "convergence_ladder", recorded)
@@ -292,46 +311,59 @@ class TestSharedCoupling:
         energy_sweep([_oblate_config(m, z) for z in gaps for m in media], l_cap=self.L_CAP)
         assert kept == [{0.3}, {0.3}, {1.5}, {1.5}]
 
-    def test_nothing_outlives_the_sweep(self):
+    def test_nothing_outlives_the_sweep(self, monkeypatch):
+        ladder = energy.convergence_ladder
+        held = []
+
+        def recorded(config, **kwargs):
+            try:
+                return ladder(config, **kwargs)
+            finally:
+                workspace = kwargs["workspace"]
+                held.extend(map(weakref.ref, _kept_D(workspace)))
+                held.extend(map(weakref.ref, workspace.weighted.values()))
+
+        monkeypatch.setattr(energy, "convergence_ladder", recorded)
         energy_sweep(self._configs(), l_cap=self.L_CAP)
-        assert spectral._shared_D == {}
-        convergence_ladder(_oblate_config(self.MEDIA[0], 1.5))
-        assert spectral._shared_D == {}
+        assert held and all(ref() is None for ref in held)
 
     def test_nothing_outlives_a_raising_sweep(self, monkeypatch):
         ladder = energy.convergence_ladder
-        calls, held = [], []
+        calls, held, writeable = [], [], []
 
         def second_raises(config, **kwargs):
             calls.append(config)
             if len(calls) == 2:
-                held.extend(D for kept in spectral._shared_D.values() for _, D in kept.values())
+                kept = _kept_D(kwargs["workspace"])
+                held.extend(map(weakref.ref, kept))
+                writeable.extend(D.flags.writeable for D in kept)
                 raise RuntimeError("not a package error")
             return ladder(config, **kwargs)
 
         monkeypatch.setattr(energy, "convergence_ladder", second_raises)
         with pytest.raises(RuntimeError):
             energy_sweep(self._configs(), l_cap=self.L_CAP)
-        assert held and not any(D.flags.writeable for D in held)
-        assert spectral._shared_D == {}
+        assert held and not any(writeable)
+        assert all(ref() is None for ref in held)
 
     def test_fig1_holds_under_one_mib(self, tmp_path, monkeypatch):
         ladder = energy.convergence_ladder
-        peak = 0
+        peak, held = 0, []
 
         def measured(config, **kwargs):
             nonlocal peak
             try:
                 return ladder(config, **kwargs)
             finally:
-                peak = max(peak, _held_bytes())
+                peak = max(peak, _held_bytes(kwargs["workspace"]))
+                held.extend(map(weakref.ref, _kept_D(kwargs["workspace"])))
 
         monkeypatch.setattr(energy, "convergence_ladder", measured)
         cfg = tmp_path / "fig1.cfg"
         cfg.write_text("# the default grid\n")
         assert cli.main(["fig1", "--config", str(cfg), "--output", str(tmp_path / "f.csv")]) == 0
         assert 0 < peak <= 1 << 20
-        assert spectral._shared_D == {}
+        assert all(ref() is None for ref in held)
 
 
 class TestSharedWeighted:
@@ -372,7 +404,6 @@ class TestSharedWeighted:
         assert rows[3].error and all(row.sample for i, row in enumerate(rows) if i != 3)
         calls.clear()
         for row in rows:
-            spectral._held = None
             try:
                 sample, error = convergence_ladder(row.config, l_cap=self.L_CAP), None
             except CasimirSpectralError as exc:
@@ -387,17 +418,19 @@ class TestSharedWeighted:
     def test_held_cells_stay_within_budget_and_go_with_a_raising_sweep(self, monkeypatch):
         weighted = spectral._weighted_ferrers
         ladder = energy.convergence_ladder
-        cells, held, built = [], [], set()
+        cells, held, writeable, built = [], [], [], set()
 
-        def measured(ms, l_max, eta, gw):
+        def measured(workspace, ms, l_max, eta, gw):
             built.add((ms, l_max))
-            table = weighted(ms, l_max, eta, gw)
-            cells.append(sum(t.size for t in spectral._shared_weighted.values()))
+            table = weighted(workspace, ms, l_max, eta, gw)
+            cells.append(sum(t.size for t in workspace.weighted.values()))
             return table
 
         def last_raises(config, **kwargs):
             if config is configs[-1]:
-                held.extend(spectral._shared_weighted.values())
+                kept = kwargs["workspace"].weighted.values()
+                held.extend(map(weakref.ref, kept))
+                writeable.extend(t.flags.writeable for t in kept)
                 raise RuntimeError("not a package error")
             return ladder(config, **kwargs)
 
@@ -406,8 +439,8 @@ class TestSharedWeighted:
         configs = self._configs()
         with pytest.raises(RuntimeError):
             energy_sweep(configs, l_cap=self.L_CAP)
-        assert spectral._shared_weighted is None
+        assert all(ref() is None for ref in held)
         assert 0 < max(cells) <= spectral._BLOCK_CELLS
         # rung 30 did not fit beside rungs 5-25
         assert held and len(held) < len(built)
-        assert not any(t.flags.writeable for t in held)
+        assert not any(writeable)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pathlib
 import subprocess
@@ -93,3 +94,11 @@ def test_console_scripts_resolve():
     for target in scripts.values():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_no_global_statement():
+    # what outlives a call belongs to an object passed to it, so no module
+    # of the package rebinds its own globals
+    for path in sorted((ROOT / "src" / "casimir_spectral").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), path.name

@@ -138,7 +138,8 @@ class TestProlateRadial:
     )
     def test_continued_fraction_cap(self, table, coord):
         # theta = arccosh x or arcsinh zeta: below 21/4000 the Q continued
-        # fraction cannot decay by exp(-42) within its 4000 steps
+        # fraction cannot decay by exp(-42) within 4000 steps, and raises
+        # rather than run deeper
         table(range(1), 5, [coord(1.01 * 21.0 / 4000.0)])
         with pytest.raises(SpecFunDomainError):
             table(range(1), 5, [2.0, coord(0.99 * 21.0 / 4000.0)])
@@ -214,8 +215,7 @@ class TestBatchedTables:
     # the Q continued fraction starts int(28/theta_min) + 10 steps above
     # l_max + 1, its tail below exp(-56); twice as deep moves no bit at
     # theta_min >= 0.05, and below that a few ulps at most (1.7e-15 was
-    # the largest of 993 random calls), where the 4000-step cap leaves the
-    # tail at exp(-42)
+    # the largest of 993 random calls)
     @_examples(0.5)
     @given(
         st.sampled_from(
@@ -245,6 +245,16 @@ class TestBatchedTables:
             assert tables[1].tobytes() == Q.tobytes()
         else:
             assert np.all(np.abs(tables[1] - Q) <= 1e-14 * np.abs(Q))
+
+    def test_deep_fraction_nests_bit_for_bit(self):
+        # theta = 0.00587 (z = 10**-2.2316): int(28/theta) + 10 = 4 782
+        # steps, which a cap of 4000 cut short, so the call at l_max = 12
+        # moved a last bit of the Q rows of the call at 11
+        z = np.array([0.005867006407506743])
+        small = oblate_radial_table(range(12), 11, z)
+        large = oblate_radial_table(range(12), 12, z)
+        for t, t_large in zip(small, large):
+            assert t.tobytes() == np.ascontiguousarray(t_large[:, :12]).tobytes()
 
     def test_overflow_names_lowest_failing_order(self):
         # near x = 1 the tables of the higher orders fail at l_max = 150

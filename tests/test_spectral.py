@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import weakref
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -223,7 +224,9 @@ class TestSpectralBlocks:
     def test_one_surface_table_per_sector(self, monkeypatch):
         # the quadrature nodes are built once per degree, and a rung builds
         # one one-point radial table at the surface for all its sectors and
-        # one at the mirror points per block of sectors
+        # one at the mirror points per block of sectors; the node cache
+        # starts empty
+        monkeypatch.setattr(spectral, "_quad_nodes", lru_cache(spectral._quad_nodes.__wrapped__))
         calls = {"leggauss": 0, "prolate_radial_table": 0}
 
         def counting(name):
@@ -238,17 +241,22 @@ class TestSpectralBlocks:
         counting("leggauss")
         counting("prolate_radial_table")
         cfg = _config(Spheroid.prolate(2.0, 1.0), 0.5, Medium.constant(3.12), l_max=10)
-        mode_spectrum(cfg)
+        workspace = spectral._Workspace()
+        mode_spectrum(cfg, workspace=workspace)
         assert calls == {"leggauss": 1, "prolate_radial_table": 2}
         # a smaller rung on the same spheroid reads the l = 10 surface
         # tables and builds only its mirror block
-        mode_spectrum(cfg.with_l_max(5))
+        mode_spectrum(cfg.with_l_max(5), workspace=workspace)
         assert calls == {"leggauss": 2, "prolate_radial_table": 3}
         # so does every rung of the next gap point of a sweep: one radial
         # call per rung
         for l_max in (5, 10):
-            mode_spectrum(_config(cfg.particle.spheroid, 0.8, Medium.constant(3.12), l_max))
+            gap = _config(cfg.particle.spheroid, 0.8, Medium.constant(3.12), l_max)
+            mode_spectrum(gap, workspace=workspace)
         assert calls == {"leggauss": 2, "prolate_radial_table": 5}
+        # a call given no workspace builds its surface tables anew
+        mode_spectrum(cfg.with_l_max(5))
+        assert calls == {"leggauss": 2, "prolate_radial_table": 7}
         # the cached tables cannot be changed by a caller
         table = isolated_depolarization_table(cfg.particle.spheroid, 10, 10)
         assert not table.flags.writeable
@@ -325,15 +333,14 @@ class TestSpectralBlocks:
         assert spectral._block_orders(0, 13, 12) == range(13)
 
         def sector_H():
-            spectral._held = None
-            return [H.tobytes() for _, _, H in spectral._sectors(cfg, 0, 13)]
+            sectors = spectral._sectors(spectral._Workspace(), cfg, 0, 13)
+            return [H.tobytes() for _, _, H in sectors]
 
         blocked = sector_H()
         monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1 << 30)
         assert sector_H() == blocked
         monkeypatch.setattr(spectral, "_BLOCK_CELLS", 1)
         assert sector_H() == blocked
-        spectral._held = None
         for m in (7, 3, 12, 0, 8):
             assert spectral_block(cfg, m).H.tobytes() == blocked[m]
 
@@ -348,18 +355,16 @@ class TestSpectralBlocks:
         build = spectral._spheroid_coupling
         blocks = []
 
-        def counted(particle, ms, l_max, surface):
+        def counted(*args):
             blocks[-1] += 1
-            return build(particle, ms, l_max, surface)
+            return build(*args)
 
         monkeypatch.setattr(spectral, "_spheroid_coupling", counted)
         runs = []
         for cells in (1, spectral._BLOCK_CELLS, 1 << 30):
             monkeypatch.setattr(spectral, "_BLOCK_CELLS", cells)
             blocks.append(0)
-            spectral._held = None
             sectors = mode_spectrum(cfg)
-            spectral._held = None
             xi = zero_point_energy(cfg).xi
             spectrum = b"".join(s.eigenvalues.tobytes() + s.isolated.tobytes() for s in sectors)
             runs.append((spectrum, xi.hex()))
@@ -424,8 +429,8 @@ class TestSpectralBlocks:
                 built.append(all(ref() is None for ref in blocks))
             return radial(ms, l_max, x, **kwargs)
 
-        def coupling(particle, ms, l_max, surface):
-            block = build(particle, ms, l_max, surface)
+        def coupling(workspace, particle, ms, l_max, surface):
+            block = build(workspace, particle, ms, l_max, surface)
             assert block[0] == ms == range(ms.start, ms.start + 1)
             blocks.append(weakref.ref(block[1]))
             return block
@@ -446,10 +451,9 @@ class TestSpectralBlocks:
         # next sector builds its own
         cfg = _config(Spheroid.prolate(2.0, 1.0), 0.3, Medium.constant(3.12), l_max=6)
         expected = spectral_block(cfg, 2).H
-        spectral._held = None
         original = spectral._mirror_tables
 
-        def failing(particle, l_max, ms):
+        def failing(workspace, particle, l_max, ms):
             monkeypatch.setattr(spectral, "_mirror_tables", original)
             raise SpecFunOverflowError("mirror tables overflow", m=ms.start)
 
@@ -464,13 +468,14 @@ class TestSpectralBlocks:
         # it leaves the cache before the first block of the next spheroid
         # is built
         prolate = Spheroid.prolate(2.0, 1.0)
+        workspace = spectral._Workspace()
         refs = []
         for l_max in (5, 10, 5):
-            n_iso = isolated_depolarization_table(prolate, 0, l_max)
-            assert len(n_iso) == l_max  # l = 1..l_max
-            refs.append(weakref.ref(spectral._held[3][0]))
+            _, (n_iso, *_) = spectral._surface_block(workspace, prolate, range(1), l_max)
+            assert n_iso.shape == (1, l_max)  # l = 1..l_max
+            refs.append(weakref.ref(workspace.held[3][0]))
             del n_iso
-        assert spectral._held[:2] == (prolate, 10)
+        assert workspace.held[:2] == (prolate, 10)
         assert refs[0]() is None and refs[1]() is refs[2]() is not None
         original = spectral.oblate_radial_table
         dropped = []
@@ -480,7 +485,7 @@ class TestSpectralBlocks:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "oblate_radial_table", radial)
-        isolated_depolarization_table(Spheroid.oblate(1.4, 1.0), 0, 5)
+        spectral._surface_block(workspace, Spheroid.oblate(1.4, 1.0), range(1), 5)
         assert dropped == [True]
 
     def test_whole_ladder_kept(self, monkeypatch):
@@ -497,12 +502,13 @@ class TestSpectralBlocks:
 
         monkeypatch.setattr(spectral, "prolate_radial_table", radial)
         rungs = range(5, 201, 5)
+        workspace = spectral._Workspace()
         for _ in range(2):
             for l_max in rungs:
-                isolated_depolarization_table(spheroid, 0, l_max)
+                spectral._surface_block(workspace, spheroid, range(1), l_max)
         assert surface == list(rungs)
         # each table owns its memory or views a distinct array
-        tables = spectral._held[3]
+        tables = workspace.held[3]
         assert sum((t if t.base is None else t.base).nbytes for t in tables) <= 1 << 20
 
     @pytest.mark.parametrize("ctor", [Spheroid.prolate, Spheroid.oblate], ids=["prolate", "oblate"])
@@ -579,10 +585,12 @@ class TestSpectralBlocks:
             return original(m, l_max, x, **kwargs)
 
         monkeypatch.setattr(spectral, "prolate_radial_table", radial)
+        workspace = spectral._Workspace()
         for gap in (0.5, 0.6, 0.7):
             calls.append(0)
             with pytest.raises(SpecFunOverflowError):
-                mode_spectrum(_config(needle, gap, Medium.constant(1.0), l_max=150))
+                config = _config(needle, gap, Medium.constant(1.0), l_max=150)
+                mode_spectrum(config, workspace=workspace)
         assert calls == [3, 1, 1]
 
     def test_block_above_sector_zero_spares_smaller_rungs(self, monkeypatch):
@@ -598,13 +606,15 @@ class TestSpectralBlocks:
             return original(m, l_max, x, **kwargs)
 
         monkeypatch.setattr(spectral, "oblate_radial_table", radial)
-        isolated_depolarization(spheroid, 90, 45)
-        assert spectral._held[:3] == (spheroid, 90, range(45, 91))
+        workspace = spectral._Workspace()
+        spectral._surface_block(workspace, spheroid, range(45, 46), 90)
+        assert workspace.held[:3] == (spheroid, 90, range(45, 91))
         for gap in (0.5, 0.8):
             for l_max in (5, 10):
-                mode_spectrum(_config(spheroid, gap, Medium.constant(3.12), l_max))
+                config = _config(spheroid, gap, Medium.constant(3.12), l_max)
+                mode_spectrum(config, workspace=workspace)
         assert sum(calls) == 3
-        assert spectral._held[:3] == (spheroid, 10, range(11))
+        assert workspace.held[:3] == (spheroid, 10, range(11))
 
     @pytest.mark.parametrize(
         "spheroid",
@@ -707,18 +717,20 @@ class TestSpectralBlocks:
         # of the one-sector builds
         cfg = _config(spheroid, 0.3, Medium.constant(3.12), l_max=12)
         assert spectral._block_orders(0, 13, 12) == range(13)
-        ms, surface = spectral._surface_block(spheroid, range(13), cfg.l_max)
-        ms, D_block = spectral._spheroid_coupling(cfg.particle, ms, cfg.l_max, surface)
+        workspace = spectral._Workspace()
+        ms, surface = spectral._surface_block(workspace, spheroid, range(13), cfg.l_max)
+        ms, D_block = spectral._spheroid_coupling(workspace, cfg.particle, ms, cfg.l_max, surface)
         assert ms == range(13)
         _, o, _, _ = spectral._layout(ms, cfg.l_max)
-        H_block = [H.tobytes() for _, _, H in spectral._sectors(cfg, 0, 13)]
+        H_block = [H.tobytes() for _, _, H in spectral._sectors(workspace, cfg, 0, 13)]
         for m in range(cfg.l_max + 1):
             l_min = max(1, m)
-            ms, tables = spectral._surface_block(spheroid, range(m, m + 1), cfg.l_max)
+            ms, tables = spectral._surface_block(workspace, spheroid, range(m, m + 1), cfg.l_max)
             assert ms == range(m, m + 1)
             n_iso, w, nP0 = (t[0] for t in tables)  # l = max(1, m)..l_max
             assert len(n_iso) == len(w) == len(nP0) == cfg.l_max + 1 - l_min
-            _, psi, weighted = spectral._mirror_tables(cfg.particle, cfg.l_max, range(m, m + 1))
+            sector = range(m, m + 1)
+            _, psi, weighted = spectral._mirror_tables(workspace, cfg.particle, cfg.l_max, sector)
             K = (weighted[0] @ psi[0].T) / nP0[:, None]
             w_amp = np.abs(w)
             D = (-1.0 if m % 2 else 1.0) * (w_amp[:, None] * K * w_amp[None, :])
@@ -799,14 +811,10 @@ class TestCacheWarmth:
             for z in (0.3, 0.5, 0.8, 1.2, 2.0, 4.0)
         ]
 
-        def clear():
-            spectral._quad_nodes.cache_clear()
-            spectral._held = None
-
         warm = [repr(row) for row in energy_sweep(configs, l_cap=40)]
         cold = []
         for config in configs:
-            clear()
+            spectral._quad_nodes.cache_clear()
             cold.append(repr(energy_sweep([config], l_cap=40)[0]))
         assert all(row.endswith("error=None)") for row in cold)
         assert warm == cold
